@@ -98,6 +98,10 @@ def _json_line(payload: dict) -> str:
 
 def _build(kind: str, order: int, k: Fraction, lmax: int | None,
            threshold: Fraction | None, digits: int) -> series.FLSeries:
+    if lmax is not None and lmax < 0:
+        raise UsageError("--lmax must be nonnegative")
+    if threshold is not None and threshold <= 0:
+        raise UsageError("--threshold must be positive")
     if lmax is not None:
         return series.build_series(kind, order, k, l_max=lmax, precision=digits)
     return series.build_series(kind, order, k, threshold=threshold, precision=digits)
@@ -137,6 +141,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_power(args: argparse.Namespace) -> int:
     kind, order = _parse_kind_order(args.kind, args.order)
     k = _parse_rational(args.k)
+    if args.max_power < 0:
+        raise UsageError("--max-power must be nonnegative")
+    if args.terms is not None and args.terms < 1:
+        raise UsageError("--terms must be positive")
     lmax = order % 2 + 2 * (args.terms - 1) if args.terms else args.max_power
     s = series.build_series(kind, order, k, l_max=lmax, precision=args.digits)
     p = powerprime.to_power_series(s, args.max_power)
@@ -211,6 +219,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     kind, order = which[0], int(which[1])
     if args.range:
         lo, hi = _parse_range(args.range)
+        if lo > hi:
+            raise UsageError("range must satisfy LO <= HI")
     else:
         bound = series.ALLEN_RANGE[which]
         lo, hi = -bound, bound

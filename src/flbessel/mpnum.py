@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import Decimal, ROUND_05UP, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -113,12 +113,18 @@ class BigReal:
 
     @classmethod
     def from_fraction(cls, q: Fraction, precision: int) -> "BigReal":
-        """Exact rational -> BigReal, one correctly rounded division."""
+        """Exact rational -> BigReal, correctly rounded (half-even).
+
+        The division rounds to odd at two guard digits (``ROUND_05UP``): an
+        inexact quotient never ends in 0 or 5, so it cannot turn into a
+        false tie when ``__post_init__`` rounds it half-even to
+        ``precision`` digits.  Only an exact tie ends in ...50.
+        """
         if q == 0:
             return cls(Decimal(0), precision)
         with localcontext() as ctx:
             ctx.prec = precision + 2
-            ctx.rounding = ROUND_HALF_EVEN
+            ctx.rounding = ROUND_05UP
             d = Decimal(q.numerator) / Decimal(q.denominator)
         return cls(d, precision)
 
@@ -338,14 +344,17 @@ def recip_gamma_exact(arg: Fraction) -> tuple[Fraction, int]:
 # ---------------------------------------------------------------------------
 
 
-def pochhammer(a: Fraction, n: int) -> Fraction:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1."""
+def pochhammer(a: Fraction | int, n: int) -> Fraction:
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1.
+
+    With a = p/q in lowest terms, (a)_n = p (p+q) ... (p+(n-1)q) / q^n: one
+    integer product and a single normalisation, instead of n ``Fraction``
+    products with their gcds.
+    """
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
-    prod = Fraction(1)
-    for i in range(n):
-        prod *= a + i
-    return prod
+    p, q = a.numerator, a.denominator
+    return Fraction(math.prod(range(p, p + n * q, q)), q**n)
 
 
 def pochhammer_reflect(a: Fraction, n: int) -> Fraction:

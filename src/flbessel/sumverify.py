@@ -38,12 +38,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .hypergeom import plain_sum_rational
-from .mpnum import (
-    BigReal,
-    DEFAULT_GUARD_DIGITS,
-    gamma_half_exact,
-    pochhammer,
-)
+from .mpnum import BigReal, DEFAULT_GUARD_DIGITS, pochhammer
 
 FAMILIES = ("j0", "j1")
 VARIANTS = ("pochhammer", "reflected", "gammaform")
@@ -97,42 +92,50 @@ def _f12(N: int, L: int, k: Fraction, precision: int, guard: int) -> Fraction:
     return plain_sum_rational(upper, lower, z, precision, guard)
 
 
+def _quotient(sign: int, upper: tuple, lower: tuple, m: int) -> Fraction:
+    """sign * prod (a)_m over ``upper`` / prod (b)_m over ``lower``.
+
+    The Pochhammer numerators and denominators are multiplied as integers and
+    normalised once, not through a ``Fraction`` product per factor.
+    """
+    num, den = sign, 1
+    for a in upper:
+        p = pochhammer(a, m)
+        num *= p.numerator
+        den *= p.denominator
+    for b in lower:
+        p = pochhammer(b, m)
+        num *= p.denominator
+        den *= p.numerator
+    return Fraction(num, den)
+
+
 def _brackets(family: str, L: int, h: int, m: int) -> tuple[Fraction, Fraction, Fraction]:
-    """The three equivalent monomial-extraction factors, m >= 0."""
-    half = Fraction(1, 2)
-    poch = (
-        pochhammer(half - Fraction(L, 2), m)
-        * pochhammer(-Fraction(L, 2), m)
-        / pochhammer(half - L, m)
+    """The three equivalent monomial-extraction factors, m >= 0.
+
+    In ``gammaform`` the powers of two of Gamma(h + L/2 + 1/2) / Gamma(L + 1/2)
+    cancel exactly, which leaves a ratio of factorials.
+    """
+    poch = _quotient(
+        1, (Fraction(1 - L, 2), Fraction(-L, 2)), (Fraction(1 - 2 * L, 2),), m
     )
     sign = -1 if m % 2 else 1
+    fact = math.factorial
     if family == "j0":
-        reflected = (
-            sign
-            * pochhammer(h + half, m)
-            * pochhammer(Fraction(h + 1), m)
-            / pochhammer(h + Fraction(L, 2) + half, m)
+        reflected = _quotient(
+            sign, (Fraction(2 * h + 1, 2), h + 1), (Fraction(2 * h + L + 1, 2),), m
         )
-        gammaform = (
-            sign
-            * Fraction(2) ** (2 * h - L)
-            * math.factorial(L)
-            * gamma_half_exact(h + L // 2)
-            / (math.factorial(2 * h) * gamma_half_exact(L))
+        gammaform = Fraction(
+            sign * fact(L) ** 2 * fact(2 * h + L),
+            fact(2 * h) * fact(h + L // 2) * fact(2 * L),
         )
     else:
-        reflected = (
-            sign
-            * pochhammer(Fraction(h + 1), m)
-            * pochhammer(h + Fraction(3, 2), m)
-            / pochhammer(h + Fraction(L, 2) + 1, m)
+        reflected = _quotient(
+            sign, (h + 1, Fraction(2 * h + 3, 2)), (Fraction(2 * h + L + 2, 2),), m
         )
-        gammaform = (
-            sign
-            * Fraction(2) ** (2 * h - L + 1)
-            * math.factorial(L)
-            * gamma_half_exact((2 * h + L + 1) // 2)
-            / (math.factorial(2 * h + 1) * gamma_half_exact(L))
+        gammaform = Fraction(
+            sign * fact(L) ** 2 * fact(2 * h + L + 1),
+            fact(2 * h + 1) * fact((2 * h + L + 1) // 2) * fact(2 * L),
         )
     return poch, reflected, gammaform
 
@@ -173,14 +176,12 @@ def term_rational(
         spec.variant
     ]
 
-    # sqrt(pi)/Gamma(L+3/2) is the exact rational 1/gamma_half_exact(L+1).
-    pref = (
-        Fraction(2 * (2 * L + 1), 2 ** (3 * L + 2))
-        * phase
-        * choose
-        * math.comb(2 * L, L)
-        * Fraction(k) ** L
-        / (gamma_half_exact(L + 1) * mfact)
+    # sqrt(pi)/Gamma(L+3/2) = 1/gamma_half_exact(L+1) = 4^(L+1) (L+1)!/(2L+2)!,
+    # so the powers of two 2 (2L+1) 4^(L+1) / 2^(3L+2) leave 2 (2L+1) / 2^L.
+    pref = Fraction(
+        2 * phase * (2 * L + 1) * choose * math.comb(2 * L, L)
+        * math.factorial(L + 1) * k.numerator**L,
+        2**L * math.factorial(2 * L + 2) * mfact * k.denominator**L,
     )
     return pref * fval * bracket
 
@@ -242,6 +243,8 @@ def verify_identity(
     """Compare both sides at relative tolerance ``rel_tol``.
 
     "Relative" means |lhs - rhs| / |rhs|, computed exactly before rendering.
+    Where the right side is exactly 0 (k = 0 with h >= 1), there is nothing
+    to scale by, and ``rel_diff`` is the absolute difference |lhs|.
     Failure is an outcome, not an exception.
     """
     if isinstance(rel_tol, BigReal):
@@ -252,7 +255,7 @@ def verify_identity(
         (term_rational(spec, L, guard) for L in _l_values(spec)), Fraction(0)
     )
     rhs_q = rhs_rational(spec)
-    rel = abs(lhs_q - rhs_q) / abs(rhs_q)
+    rel = abs(lhs_q - rhs_q) / abs(rhs_q) if rhs_q else abs(lhs_q)
     return VerifyReport(
         spec=spec,
         lhs=BigReal.from_fraction(lhs_q, spec.precision),

@@ -141,6 +141,32 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "J", "0", "1", "--lmax", "-3"),
+    ("eval", "J", "0", "1", "1/2", "--lmax", "-1"),
+    ("power", "J", "0", "1", "--max-power", "-2"),
+    ("power", "J", "0", "1", "--max-power", "4", "--terms", "0"),
+    ("bench", "--which", "j0", "--range", "3..1"),
+    ("coeffs", "J", "0", "1", "--threshold", "0"),
+    ("coeffs", "J", "0", "1", "--threshold", "-1"),
+])
+def test_out_of_range_input_exits_2_before_any_work(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_at_k_zero(capsys):
+    # for h >= 1 the right side is exactly 0; the absolute difference is used
+    code, out, _ = run(capsys, "verify", "--family", "j0", "--h-range", "0..1",
+                       "--k", "0")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == 2
+    assert all(line.endswith(" pass") for line in lines)
+
+
 def test_computational_error_exit_3(capsys):
     # scale so large the series cannot meet its termination rule in the cap
     code, _, err = run(capsys, "--digits", "2", "coeffs", "J", "0", "6000",

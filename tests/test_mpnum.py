@@ -79,6 +79,50 @@ def test_bigreal_parse_render_identity(num, den, prec):
     assert BigReal.parse(str(x), prec) == x
 
 
+def _half_even(q: Fraction, digits: int) -> Decimal:
+    """q rounded half-even to ``digits`` significant digits, in integers."""
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    e = len(str(q.numerator)) - len(str(q.denominator))
+    if q < Fraction(10) ** e:
+        e -= 1
+    shift = digits - 1 - e
+    scaled = q * Fraction(10) ** shift
+    n, r = divmod(scaled.numerator, scaled.denominator)
+    if 2 * r > scaled.denominator or (2 * r == scaled.denominator and n % 2):
+        n += 1
+    return Decimal(f"{sign}{n}e{-shift}")
+
+
+def test_from_fraction_near_ties_round_correctly():
+    assert str(BigReal.from_fraction(Fraction(1234549999, 10**9), 5)) == "1.2345"
+    assert str(BigReal.from_fraction(Fraction(1234550001, 10**9), 5)) == "1.2346"
+    assert str(BigReal.from_fraction(Fraction(123455, 10**5), 5)) == "1.2346"
+    assert str(BigReal.from_fraction(Fraction(123465, 10**5), 5)) == "1.2346"
+    assert str(BigReal.from_fraction(Fraction(-1234549999, 10**9), 5)) == "-1.2345"
+
+
+@given(st.integers(-10**30, 10**30).filter(bool), st.integers(1, 10**30),
+       st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_from_fraction_is_exact_half_even(num, den, digits):
+    q = Fraction(num, den)
+    assert BigReal.from_fraction(q, digits).value == _half_even(q, digits)
+
+
+@given(st.integers(1, 40), st.data())
+@settings(max_examples=300, deadline=None)
+def test_from_fraction_near_and_exact_ties(digits, data):
+    # mantissa + 1/2 in the last place, nudged by +-10^-depth or not at all
+    mant = data.draw(st.integers(10 ** (digits - 1), 10**digits - 1))
+    nudge = data.draw(st.sampled_from((-1, 0, 1)))
+    depth = data.draw(st.integers(1, 40))
+    scale = Fraction(10) ** data.draw(st.integers(-60, 60))
+    sign = data.draw(st.sampled_from((-1, 1)))
+    q = sign * (mant + Fraction(1, 2) + Fraction(nudge, 10**depth)) * scale
+    assert BigReal.from_fraction(q, digits).value == _half_even(q, digits)
+
+
 # -- sqrt(pi) and gamma -------------------------------------------------------
 
 
@@ -132,6 +176,24 @@ def test_pochhammer_examples():
     assert pochhammer(Fraction(3), 4) == 360
     assert pochhammer(Fraction(-1, 2), 0) == 1
     assert pochhammer(Fraction(-2), 3) == 0
+
+
+def _naive_pochhammer(a: Fraction, n: int) -> Fraction:
+    prod = Fraction(1)
+    for i in range(n):
+        prod *= a + i
+    return prod
+
+
+@given(st.integers(-150, 150), st.integers(1, 4), st.integers(0, 60))
+@settings(max_examples=400, deadline=None)
+def test_pochhammer_matches_factor_by_factor_product(num, den, n):
+    a = Fraction(num, den)
+    expected = _naive_pochhammer(a, n)
+    assert pochhammer(a, n) == expected
+    if a.denominator == 1:
+        got = pochhammer(int(a), n)
+        assert got == expected and isinstance(got, Fraction)
 
 
 def test_pochhammer_reflect_examples():

@@ -51,6 +51,15 @@ def test_bracket_variants_agree_randomly():
         assert poch == refl == gamm
 
 
+def test_bracket_variants_agree_for_every_L_up_to_200():
+    for fam, off in (("j0", 0), ("j1", 1)):
+        for L in range(off, 201, 2):
+            for h in range((L - off) // 2 + 1):
+                m = (L - off) // 2 - h
+                poch, refl, gamm = _brackets(fam, L, h, m)
+                assert poch == refl == gamm, (fam, L, h)
+
+
 def test_first_h_terms_vanish():
     for fam in ("j0", "j1"):
         off = 1 if fam == "j1" else 0
