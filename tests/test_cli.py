@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
 from decimal import Decimal
 
 import pytest
 
 from flbessel.cli import main
-from refdata import golden, table1_rows, ulp_of
+from refdata import DATA, golden, table1_rows, ulp_of
+
+#: bench, power --factorize and verify outputs, byte for byte, recorded
+#: before the summation loops were merged into one.
+CLI_GOLDENS = json.loads((DATA / "cli_goldens.json").read_text())
 
 
 def run(capsys, *argv):
@@ -108,6 +113,13 @@ def test_bench_shows_fit_advantage(capsys):
     # the least-maximum fit beats the plain truncation at equal top power
     assert fit_err < series_err
     assert fit_err < Decimal("5e-8")
+
+
+@pytest.mark.parametrize("pin", CLI_GOLDENS, ids=lambda pin: " ".join(pin["argv"]))
+def test_output_matches_cli_golden(capsys, pin):
+    code, out, _ = run(capsys, *pin["argv"])
+    assert code == pin["exit"]
+    assert out == pin["stdout"]
 
 
 def test_emit_reproduces_goldens(capsys, tmp_path):
