@@ -16,22 +16,18 @@ from .mpnum import (
     Rat,
     binomial,
     factorize_reciprocal,
-    gamma_half_int,
     pochhammer,
-    pochhammer_reflect,
-    sqrt_pi,
 )
 from .hypergeom import (
-    HypParams,
     LowerParamPole,
-    ShapeUnsupported,
     TermCapExceeded,
-    hyp_pfq,
-    hyp_pfq_regularized,
+    plain_sum_rational,
+    regularized_sum_rational,
 )
-from .legendre import LegendreMonomials, ZeroArgument, eval_P, eval_P_via_2f1, monomials
+from .legendre import LegendreMonomials, monomials
 from .series import (
     AccuracyReport,
+    DigitsExceedPrecision,
     FLSeries,
     TruncationCapExceeded,
     accuracy_scan,
@@ -48,7 +44,6 @@ from .powerprime import (
     FactorReport,
     PowerSeries,
     certify_prime_structure,
-    compare_power_series,
     maclaurin_exact,
     to_power_series,
 )
@@ -56,14 +51,10 @@ from .sumverify import (
     SumSpec,
     VariantMismatch,
     VerifyReport,
-    cauchy_check,
-    partial_sums,
-    summed_series_lhs,
-    summed_series_rhs,
+    partial_sums_rational,
     verify_identity,
 )
 from .emit import (
-    DigitsExceedPrecision,
     EmitTarget,
     UncertifiedFactorization,
     emit_json,
@@ -82,51 +73,39 @@ __all__ = [
     "FLSeries",
     "FactorEntry",
     "FactorReport",
-    "HypParams",
     "LegendreMonomials",
     "LowerParamPole",
     "NotNearInteger",
     "PowerSeries",
     "PrimePowers",
     "Rat",
-    "ShapeUnsupported",
     "SumSpec",
     "TermCapExceeded",
     "TruncationCapExceeded",
     "UncertifiedFactorization",
     "VariantMismatch",
     "VerifyReport",
-    "ZeroArgument",
     "accuracy_scan",
     "binomial",
     "build_series",
-    "cauchy_check",
     "certify_prime_structure",
     "coeff_a",
     "coeff_a_modified",
     "coeff_oracle",
-    "compare_power_series",
     "emit_json",
     "emit_legendre_code",
     "emit_power_code",
-    "eval_P",
-    "eval_P_via_2f1",
     "eval_allen",
     "eval_series",
     "factorize_reciprocal",
-    "gamma_half_int",
-    "hyp_pfq",
-    "hyp_pfq_regularized",
     "maclaurin_exact",
     "maclaurin_ref",
     "monomials",
     "parse_json",
-    "partial_sums",
+    "partial_sums_rational",
+    "plain_sum_rational",
     "pochhammer",
-    "pochhammer_reflect",
-    "sqrt_pi",
-    "summed_series_lhs",
-    "summed_series_rhs",
+    "regularized_sum_rational",
     "to_power_series",
     "verify_identity",
 ]

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import emit as emit_mod
 from . import powerprime, series, sumverify
-from .hypergeom import LowerParamPole, ShapeUnsupported, TermCapExceeded
+from .hypergeom import LowerParamPole, TermCapExceeded, term_cap
 from .mpnum import BigReal, NotNearInteger
 from .series import TruncationCapExceeded
 
@@ -22,7 +22,6 @@ _COMPUTATION_ERRORS = (
     TermCapExceeded,
     TruncationCapExceeded,
     LowerParamPole,
-    ShapeUnsupported,
     NotNearInteger,
     sumverify.VariantMismatch,
     emit_mod.UncertifiedFactorization,
@@ -46,6 +45,19 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"cannot parse {text!r} as a rational number") from exc
 
 
+def _parse_scale(text: str, digits: int, name: str) -> Fraction:
+    """A rational whose series can meet the term cap at ``digits`` digits.
+
+    The terms of the 1F2/2F3 and ascending series in k (or x) grow while
+    n < |k|/2, so beyond twice the term cap no sum can ever stop.
+    """
+    value = _parse_rational(text)
+    bound = 2 * term_cap(digits)
+    if abs(value) > bound:
+        raise UsageError(f"|{name}| must be at most {bound} at {digits} digits")
+    return value
+
+
 def _parse_kind_order(kind: str, order: str) -> tuple[str, int]:
     k = kind.upper()
     if k not in ("J", "I"):
@@ -59,11 +71,11 @@ def _parse_kind_order(kind: str, order: str) -> tuple[str, int]:
     return k, n
 
 
-def _parse_range(text: str) -> tuple[Fraction, Fraction]:
+def _parse_range(text: str, digits: int) -> tuple[Fraction, Fraction]:
     if ".." not in text:
         raise UsageError("range must look like LO..HI")
     lo, hi = text.split("..", 1)
-    return _parse_rational(lo), _parse_rational(hi)
+    return _parse_scale(lo, digits, "LO"), _parse_scale(hi, digits, "HI")
 
 
 def _parse_h_range(text: str) -> tuple[int, int]:
@@ -90,12 +102,6 @@ def _write(args: argparse.Namespace, text: str) -> None:
         print(text)
 
 
-def _json_line(payload: dict) -> str:
-    import json
-
-    return json.dumps(payload, separators=(",", ":"))
-
-
 def _build(kind: str, order: int, k: Fraction, lmax: int | None,
            threshold: Fraction | None, digits: int) -> series.FLSeries:
     if lmax is not None and lmax < 0:
@@ -109,7 +115,7 @@ def _build(kind: str, order: int, k: Fraction, lmax: int | None,
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
     kind, order = _parse_kind_order(args.kind, args.order)
-    k = _parse_rational(args.k)
+    k = _parse_scale(args.k, args.digits, "k")
     threshold = _parse_rational(args.threshold) if args.threshold else None
     s = _build(kind, order, k, args.lmax, threshold, args.digits)
     if args.format == "json":
@@ -122,12 +128,12 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     kind, order = _parse_kind_order(args.kind, args.order)
-    k = _parse_rational(args.k)
+    k = _parse_scale(args.k, args.digits, "k")
     x = _parse_rational(args.x)
     s = _build(kind, order, k, args.lmax, None, args.digits)
     val = series.eval_series(s, x, args.digits)
     if args.format == "json":
-        _write(args, _json_line({
+        _write(args, emit_mod.json_line({
             "schema": emit_mod.SCHEMA_VERSION, "type": "evaluation",
             "kind": kind, "order": order,
             "k": f"{k.numerator}/{k.denominator}",
@@ -140,7 +146,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_power(args: argparse.Namespace) -> int:
     kind, order = _parse_kind_order(args.kind, args.order)
-    k = _parse_rational(args.k)
+    k = _parse_scale(args.k, args.digits, "k")
     if args.max_power < 0:
         raise UsageError("--max-power must be nonnegative")
     if args.terms is not None and args.terms < 1:
@@ -173,7 +179,7 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     h_lo, h_hi = _parse_h_range(args.h_range)
-    k = _parse_rational(args.k)
+    k = _parse_scale(args.k, args.digits, "k")
     tol = _parse_rational(args.tol)
     plus = args.terms.startswith("+")
     base_terms = int(args.terms.lstrip("+"))
@@ -206,7 +212,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     partials = sumverify.partial_sums_rational(spec)
     rows = [str(BigReal.from_fraction(q, args.table_digits)) for q in partials]
     if args.format == "json":
-        _write(args, _json_line({
+        _write(args, emit_mod.json_line({
             "schema": emit_mod.SCHEMA_VERSION, "type": "constant_term_table",
             "rows": rows, "precision": args.table_digits}))
     else:
@@ -218,7 +224,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     which = args.which.upper()
     kind, order = which[0], int(which[1])
     if args.range:
-        lo, hi = _parse_range(args.range)
+        lo, hi = _parse_range(args.range, args.digits)
         if lo > hi:
             raise UsageError("range must satisfy LO <= HI")
     else:
@@ -227,28 +233,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     lmax = 12 if order == 0 else 13
     s = series.build_series(kind, order, Fraction(1), l_max=lmax,
                             precision=args.digits)
-    fl_report = series.accuracy_scan(s, lo, hi, args.grid, "maclaurin",
-                                     precision=args.digits)
-    # the optimized fit against the same reference, on the same grid
-    worst = None
-    worst_x = lo
-    step = (hi - lo) / (args.grid - 1)
-    for i in range(args.grid):
-        x = lo + i * step
-        ref = series.maclaurin_ref(kind, order, Fraction(1), x, args.digits + 10)
-        got = series.eval_allen(which, x, args.digits)
-        err = abs(got.value - ref.value)
-        if worst is None or err > worst:
-            worst, worst_x = err, x
-    allen_report = series.AccuracyReport(
-        x_range=(lo, hi), grid_points=args.grid,
-        max_abs_error=BigReal(worst, 8), argmax_x=worst_x,
-    )
+    fl_report, allen_report = series.accuracy_scan(
+        s, lo, hi, args.grid, (which,), precision=args.digits)
     if args.format == "json":
         _write(args, "\n".join([
-            _json_line({"schema": emit_mod.SCHEMA_VERSION,
-                        "type": "bench", "which": args.which,
-                        "truncation_l_max": lmax}),
+            emit_mod.json_line({"schema": emit_mod.SCHEMA_VERSION,
+                                "type": "bench", "which": args.which,
+                                "truncation_l_max": lmax}),
             emit_mod.emit_json(fl_report),
             emit_mod.emit_json(allen_report),
         ]))
@@ -335,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("k")
     g = c.add_mutually_exclusive_group()
     g.add_argument("--lmax", type=int)
-    g.add_argument("--threshold")
+    g.add_argument("--threshold",
+                   help="stop once two successive |a_L| fall below this "
+                        "absolute bound (default 10^-(digits+2))")
     _common_options(c, top_level=False)
     c.set_defaults(func=cmd_coeffs)
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .mpnum import BigReal, PrimePowers, render_significant
 from .powerprime import FactorEntry, FactorReport, PowerSeries
-from .series import AccuracyReport, FLSeries
+from .series import AccuracyReport, DigitsExceedPrecision, FLSeries
 from .sumverify import SumSpec, VerifyReport
 
 SCHEMA_VERSION = 1
@@ -42,10 +42,6 @@ _MAX_COLUMNS = 72
 _INT_POWER_COLUMNS = 75
 _HEAD_INDENT = " " * 8
 _CONTINUATION = "     -  "
-
-
-class DigitsExceedPrecision(ValueError):
-    """Asked to display more digits than the series actually carries."""
 
 
 class UncertifiedFactorization(ValueError):
@@ -112,17 +108,29 @@ def _join_single_line(head: str, pieces: list[tuple[str, str]]) -> str:
 
 
 def _signed_pieces(
-    values: Sequence[tuple[str, BigReal]], digit_list: list[int]
+    values: Sequence[tuple[str, BigReal]],
+    digit_list: list[int],
+    finish: Callable[[str], str] = str,
 ) -> list[tuple[str, str]]:
-    """(op, term-text) pairs with each coefficient's sign folded into the op."""
+    """(op, term-text) pairs with each coefficient's sign folded into the op.
+
+    ``finish`` post-processes each rendered magnitude.
+    """
     pieces = []
     for (term, v), d in zip(values, digit_list):
-        mag = render_significant(v.value.copy_abs(), d)
+        mag = finish(render_significant(v.value.copy_abs(), d))
         text = f"{mag}*{term}" if term else mag
         pieces.append(("-" if v.sign < 0 else "+", text))
     first_op, first_text = pieces[0]
     pieces[0] = ("", ("-" if first_op == "-" else "") + first_text)
     return pieces
+
+
+def _layout(t: EmitTarget, pieces: list[tuple[str, str]]) -> str:
+    head = f"{t.name} = "
+    if t.dialect == "legacy-fixed-form":
+        return _wrap_fixed(head, pieces)
+    return _join_single_line(head, pieces)
 
 
 def emit_legendre_code(s: FLSeries, t: EmitTarget) -> str:
@@ -133,11 +141,7 @@ def emit_legendre_code(s: FLSeries, t: EmitTarget) -> str:
         return f"{t.name} = 0"
     digit_list = _digit_list(t.digits, len(s.entries), s.precision)
     values = [(f"P({L},x)", a) for L, a in s.entries]
-    pieces = _signed_pieces(values, digit_list)
-    head = f"{t.name} = "
-    if t.dialect == "legacy-fixed-form":
-        return _wrap_fixed(head, pieces)
-    return _join_single_line(head, pieces)
+    return _layout(t, _signed_pieces(values, digit_list))
 
 
 def _power_term(m: int, caret: bool) -> str:
@@ -169,18 +173,8 @@ def emit_power_code(
 
     digit_list = _digit_list(t.digits, len(p.coeffs), p.precision)
     caret = t.dialect == "cas"
-    pieces = []
-    for (m, c), d in zip(p.coeffs, digit_list):
-        mag = _fortran_decimal(render_significant(c.value.copy_abs(), d))
-        term = _power_term(m, caret)
-        text = f"{mag}*{term}" if term else mag
-        pieces.append(("-" if c.sign < 0 else "+", text))
-    first_op, first_text = pieces[0]
-    pieces[0] = ("", ("-" if first_op == "-" else "") + first_text)
-    head = f"{t.name} = "
-    if t.dialect == "legacy-fixed-form":
-        return _wrap_fixed(head, pieces)
-    return _join_single_line(head, pieces)
+    values = [(_power_term(m, caret), c) for m, c in p.coeffs]
+    return _layout(t, _signed_pieces(values, digit_list, _fortran_decimal))
 
 
 def denominator_text(pp: PrimePowers) -> str:
@@ -337,6 +331,11 @@ def emit_json(obj) -> str:
         }
     else:
         raise TypeError(f"no JSON schema for {type(obj).__name__}")
+    return json_line(payload)
+
+
+def json_line(payload: dict) -> str:
+    """The compact, byte-stable one-line JSON form of every emitted object."""
     return json.dumps(payload, separators=(",", ":"))
 
 

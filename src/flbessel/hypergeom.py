@@ -11,10 +11,13 @@ terms are accumulated as exact ``Fraction`` values and only the final partial
 sum is rounded.  That makes results deterministic to the last digit and frees
 the termination rule from rounding noise.
 
-Termination: stop once two consecutive terms are each below
-10^-(precision + guard) times the current partial-sum magnitude (floored at
-one).  A single small term is not trusted because the coefficient-family
-series alternate in sign and an individual term can be accidentally tiny.
+Every series in the package -- plain, regularized, and the ascending series
+of the Bessel functions -- is generated by :func:`plain_terms` and summed by
+:func:`sum_terms`.  Termination: stop once two consecutive terms after the
+first are each below 10^-(precision + guard) times the current partial-sum
+magnitude (floored at one).  A single small term is not trusted because the
+coefficient-family series alternate in sign and an individual term can be
+accidentally tiny.
 
 The regularized variant divides each lower parameter's contribution by a
 gamma function instead of a Pochhammer, which keeps the sum finite when a
@@ -22,29 +25,16 @@ lower parameter is a nonpositive integer: the reciprocal gamma is exactly
 zero there, so the leading terms vanish until the parameter climbs past
 zero.  With one half-integer lower parameter the regularized terms share a
 common factor 1/sqrt(pi); the rational part is accumulated exactly and the
-sqrt(pi) power is applied once at the end.
+power of sqrt(pi) is returned beside it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import Iterable
 
-from .mpnum import (
-    BigReal,
-    DEFAULT_GUARD_DIGITS,
-    _sqrt_pi_decimal,
-    pochhammer,
-    recip_gamma_exact,
-)
-
-SUPPORTED_SHAPES = ((1, 2), (2, 3))
-
-
-class ShapeUnsupported(ValueError):
-    """Parameter counts other than 1F2 or 2F3."""
+from .mpnum import DEFAULT_GUARD_DIGITS, pochhammer, recip_gamma_exact
 
 
 class LowerParamPole(ValueError):
@@ -54,46 +44,13 @@ class LowerParamPole(ValueError):
 class TermCapExceeded(RuntimeError):
     """The series failed to meet the termination rule within the term cap.
 
-    The cap is 10 * precision + 200 terms; hitting it means divergence or a
-    bug, never something to truncate silently.
+    Each caller's cap is about 10 * precision terms (``term_cap``); hitting
+    it means divergence or a bug, never something to truncate silently.
     """
-
-
-@dataclass(frozen=True)
-class HypParams:
-    """Upper/lower parameter lists and the (real) argument."""
-
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
-    argument: BigReal
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.upper), len(self.lower))
-
-
-def _check_shape(upper: tuple[Fraction, ...], lower: tuple[Fraction, ...]) -> None:
-    if (len(upper), len(lower)) not in SUPPORTED_SHAPES:
-        raise ShapeUnsupported(
-            f"supported shapes are 1F2 and 2F3, got {len(upper)}F{len(lower)}"
-        )
 
 
 def _is_nonpositive_int(q: Fraction) -> bool:
     return q.denominator == 1 and q <= 0
-
-
-def term_direct(
-    upper: tuple[Fraction, ...], lower: tuple[Fraction, ...], z: Fraction, n: int
-) -> Fraction:
-    """Term n of the plain series from first principles (no recurrence)."""
-    num = Fraction(1)
-    for a in upper:
-        num *= pochhammer(a, n)
-    den = Fraction(1)
-    for b in lower:
-        den *= pochhammer(b, n)
-    return num / den * z**n / math.factorial(n)
 
 
 def term_cap(precision: int) -> int:
@@ -101,11 +58,19 @@ def term_cap(precision: int) -> int:
 
 
 def plain_terms(
-    upper: tuple[Fraction, ...], lower: tuple[Fraction, ...], z: Fraction
+    upper: tuple[Fraction, ...],
+    lower: tuple[Fraction, ...],
+    z: Fraction,
+    first: Fraction = Fraction(1),
+    start: int = 0,
 ):
-    """Exact series terms t_0, t_1, ... through the ratio recurrence."""
-    term = Fraction(1)
-    n = 0
+    """Exact series terms t_start, t_start+1, ... through the ratio recurrence.
+
+    ``first`` is the value of term ``start``; the default starts the plain
+    series at t_0 = 1.
+    """
+    term = first
+    n = start
     while True:
         yield term
         num = Fraction(1)
@@ -116,6 +81,29 @@ def plain_terms(
             den *= b + n
         term = term * num / den * z
         n += 1
+
+
+def sum_terms(
+    terms: Iterable[Fraction], precision: int, guard: int, cap: int
+) -> Fraction:
+    """Exact partial sum of ``terms`` under the two-small-terms rule.
+
+    The first term is always taken.  The sum stops after two later terms in
+    a row fall below 10^-(precision + guard) * max(|S|, 1); a term past
+    index ``cap`` (counting the first as 0) raises :class:`TermCapExceeded`.
+    """
+    floor = Fraction(1, 10 ** (precision + guard))
+    total = Fraction(0)
+    small_run = 0
+    for n, term in enumerate(terms):
+        if n > cap:
+            raise TermCapExceeded(f"no convergence within {cap} terms")
+        total += term
+        if n > 0:
+            small_run = small_run + 1 if abs(term) < floor * max(abs(total), 1) else 0
+            if small_run == 2:
+                return total
+    return total
 
 
 def plain_sum_rational(
@@ -129,19 +117,7 @@ def plain_sum_rational(
     for b in lower:
         if _is_nonpositive_int(b):
             raise LowerParamPole(f"lower parameter {b} is a nonpositive integer")
-    floor = Fraction(1, 10 ** (precision + guard))
-    cap = term_cap(precision)
-    total = Fraction(0)
-    small_run = 0
-    for n, term in enumerate(plain_terms(upper, lower, z)):
-        if n > cap:
-            raise TermCapExceeded(f"no convergence within {cap} terms")
-        total += term
-        thresh = floor * max(abs(total), Fraction(1))
-        small_run = small_run + 1 if abs(term) < thresh else 0
-        if n > 0 and small_run >= 2:
-            break
-    return total
+    return sum_terms(plain_terms(upper, lower, z), precision, guard, term_cap(precision))
 
 
 def regularized_sum_rational(
@@ -179,56 +155,5 @@ def regularized_sum_rational(
         sqrtpi_power += s
     first *= z**n0 / math.factorial(n0)
 
-    floor = Fraction(1, 10 ** (precision + guard))
-    cap = term_cap(precision) + n0
-    term = first
-    total = first
-    small_run = 0
-    n = n0
-    while small_run < 2:
-        if n > cap:
-            raise TermCapExceeded(f"no convergence within {cap} terms")
-        num = Fraction(1)
-        for a in upper:
-            num *= a + n
-        den = Fraction(n + 1)
-        for b in lower:
-            den *= b + n
-        term = term * num / den * z
-        n += 1
-        total += term
-        thresh = floor * max(abs(total), Fraction(1))
-        small_run = small_run + 1 if abs(term) < thresh else 0
-    return total, sqrtpi_power
-
-
-def _argument_fraction(params: HypParams) -> Fraction:
-    return params.argument.to_fraction()
-
-
-def hyp_pfq(
-    params: HypParams, precision: int, guard: int = DEFAULT_GUARD_DIGITS
-) -> BigReal:
-    """Plain 1F2 or 2F3 at ``precision`` digits."""
-    _check_shape(params.upper, params.lower)
-    total = plain_sum_rational(
-        params.upper, params.lower, _argument_fraction(params), precision, guard
-    )
-    return BigReal.from_fraction(total, precision)
-
-
-def hyp_pfq_regularized(
-    params: HypParams, precision: int, guard: int = DEFAULT_GUARD_DIGITS
-) -> BigReal:
-    """Regularized 1F2~ or 2F3~ at ``precision`` digits."""
-    _check_shape(params.upper, params.lower)
-    q, s = regularized_sum_rational(
-        params.upper, params.lower, _argument_fraction(params), precision, guard
-    )
-    if s == 0:
-        return BigReal.from_fraction(q, precision)
-    with localcontext() as ctx:
-        ctx.prec = precision + guard
-        d = Decimal(q.numerator) / Decimal(q.denominator)
-        d *= _sqrt_pi_decimal(precision + guard) ** s
-    return BigReal(d, precision)
+    terms = plain_terms(upper, lower, z, first, n0)
+    return sum_terms(terms, precision, guard, term_cap(precision) + 1), sqrtpi_power

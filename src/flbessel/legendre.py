@@ -1,31 +1,18 @@
-"""Legendre polynomials: evaluation and exact monomial expansion.
+"""Legendre polynomials: exact monomial expansion.
 
 Everything here is exact rational arithmetic.  The Bonnet recurrence
 
     (L+1) P_{L+1}(x) = (2L+1) x P_L(x) - L P_{L-1}(x)
 
-drives both the point evaluator and the coefficient-list expansion; the
-closed form for the leading coefficient, (2L)! / (2^L (L!)^2), is kept as an
-independent cross-check rather than as the construction route, since the
-recurrence avoids the huge intermediate factorials.
-
-Evaluation outside [-1, 1] is deliberately supported (and exact for rational
-x): the series built on top of these polynomials get evaluated at arguments
-like 3 and 8.
+builds the coefficient lists; it avoids the huge intermediate factorials of
+the closed forms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-
-from .mpnum import BigReal, pochhammer
-
-
-class ZeroArgument(ValueError):
-    """x = 0 is outside the domain of the inverse-square evaluation path."""
 
 
 @dataclass(frozen=True)
@@ -38,10 +25,16 @@ class LegendreMonomials:
 
 @lru_cache(maxsize=None)
 def _coeff_table(L: int) -> tuple[Fraction, ...]:
-    if L == 0:
-        return (Fraction(1),)
-    if L == 1:
-        return (Fraction(0), Fraction(1))
+    """Coefficients of P_L, built bottom-up.
+
+    The degrees below L are visited in ascending order first, so each of
+    those calls finds its two predecessors cached and nests one level deep:
+    a cold cache at a large degree costs no deep recursion.
+    """
+    if L < 2:
+        return (Fraction(1),) if L == 0 else (Fraction(0), Fraction(1))
+    for j in range(2, L - 1):
+        _coeff_table(j)
     prev2 = _coeff_table(L - 2)
     prev1 = _coeff_table(L - 1)
     n = L - 1
@@ -58,67 +51,3 @@ def monomials(L: int) -> LegendreMonomials:
     if L < 0:
         raise ValueError("degree must be nonnegative")
     return LegendreMonomials(degree=L, coeffs=_coeff_table(L))
-
-
-def leading_coefficient(L: int) -> Fraction:
-    """(2L)! / (2^L (L!)^2), the closed form for the x^L coefficient."""
-    return Fraction(math.factorial(2 * L), 2**L * math.factorial(L) ** 2)
-
-
-def eval_P_rational(L: int, x: Fraction) -> Fraction:
-    """P_L(x) by the Bonnet recurrence, exact on rationals."""
-    if L < 0:
-        raise ValueError("degree must be nonnegative")
-    if L == 0:
-        return Fraction(1)
-    pm1, p = Fraction(1), Fraction(x)
-    for n in range(1, L):
-        pm1, p = p, (Fraction(2 * n + 1) * x * p - n * pm1) / (n + 1)
-    return p
-
-
-def eval_P(L: int, x: BigReal | Fraction | int, precision: int | None = None) -> BigReal:
-    """P_L(x) rendered as a BigReal.
-
-    Rational and integer arguments (including the exact decimal carried by a
-    BigReal) go through the exact path; only the final rendering rounds.
-    """
-    if isinstance(x, BigReal):
-        q = x.to_fraction()
-        p = precision if precision is not None else x.precision
-    else:
-        q = Fraction(x)
-        if precision is None:
-            raise ValueError("precision required for rational arguments")
-        p = precision
-    return BigReal.from_fraction(eval_P_rational(L, q), p)
-
-
-def eval_P_via_2f1(L: int, x: Fraction) -> Fraction:
-    """P_L(x) through the terminating inverse-square-argument 2F1 form.
-
-    P_n(x) = 2^-n C(2n, n) x^n * sum_{m=0}^{floor(n/2)}
-             (1/2 - n/2)_m (-n/2)_m / ((1/2 - n)_m m!) x^-2m
-
-    The sum terminates on its own because one of the upper parameters is a
-    nonpositive integer or half-integer; x = 0 is rejected (use the monomial
-    path there).
-    """
-    if L < 0:
-        raise ValueError("degree must be nonnegative")
-    x = Fraction(x)
-    if x == 0:
-        raise ZeroArgument("the inverse-argument form needs x != 0")
-    a1 = Fraction(1, 2) - Fraction(L, 2)
-    a2 = -Fraction(L, 2)
-    b = Fraction(1, 2) - L
-    inv = 1 / x**2
-    total = Fraction(0)
-    for m in range(L // 2 + 1):
-        total += (
-            pochhammer(a1, m)
-            * pochhammer(a2, m)
-            / (pochhammer(b, m) * math.factorial(m))
-            * inv**m
-        )
-    return Fraction(math.comb(2 * L, L), 2**L) * x**L * total

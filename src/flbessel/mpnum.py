@@ -15,9 +15,10 @@ Everything downstream rests on two carriers:
     rendering to text and parsing back is the identity.
 
 On top of those sit the small number-theoretic helpers the series machinery
-needs: square root of pi, gamma at integer and half-integer arguments,
-Pochhammer symbols, binomials, and trial-division factorization of
-near-integer reciprocals over a small prime base.
+needs: gamma at integer and half-integer arguments (exact, with the
+sqrt(pi) factor kept apart), Pochhammer symbols, binomials, and
+trial-division factorization of near-integer reciprocals over a small prime
+base.
 
 All values are immutable and all functions are pure; any of this may be
 called concurrently without locking.
@@ -29,7 +30,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_05UP, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
-from functools import lru_cache
 
 Rat = Fraction
 
@@ -170,52 +170,6 @@ class BigReal:
     def __le__(self, other: "BigReal") -> bool:
         return self.value <= other.value
 
-    # -- arithmetic (correctly rounded at the result precision) -------------
-
-    def _result_prec(self, other: "BigReal", precision: int | None) -> int:
-        if precision is not None:
-            return precision
-        return min(self.precision, other.precision)
-
-    def add(self, other: "BigReal", precision: int | None = None) -> "BigReal":
-        p = self._result_prec(other, precision)
-        with localcontext() as ctx:
-            ctx.prec = p + 2
-            d = self.value + other.value
-        return BigReal(d, p)
-
-    def sub(self, other: "BigReal", precision: int | None = None) -> "BigReal":
-        p = self._result_prec(other, precision)
-        with localcontext() as ctx:
-            ctx.prec = p + 2
-            d = self.value - other.value
-        return BigReal(d, p)
-
-    def mul(self, other: "BigReal", precision: int | None = None) -> "BigReal":
-        p = self._result_prec(other, precision)
-        with localcontext() as ctx:
-            ctx.prec = p + 2
-            d = self.value * other.value
-        return BigReal(d, p)
-
-    def div(self, other: "BigReal", precision: int | None = None) -> "BigReal":
-        if other.value.is_zero():
-            raise ZeroDivisionError("BigReal division by zero")
-        p = self._result_prec(other, precision)
-        with localcontext() as ctx:
-            ctx.prec = p + 2
-            d = self.value / other.value
-        return BigReal(d, p)
-
-    def sqrt(self, precision: int | None = None) -> "BigReal":
-        if self.value < 0:
-            raise ValueError("BigReal sqrt of a negative value")
-        p = precision if precision is not None else self.precision
-        with localcontext() as ctx:
-            ctx.prec = p + 2
-            d = self.value.sqrt()
-        return BigReal(d, p)
-
     # copy_negate/copy_abs: the operator forms would round to the ambient
     # decimal context, which is narrower than our precision.
     def __neg__(self) -> "BigReal":
@@ -223,56 +177,6 @@ class BigReal:
 
     def __abs__(self) -> "BigReal":
         return BigReal(self.value.copy_abs(), self.precision)
-
-
-# ---------------------------------------------------------------------------
-# pi and sqrt(pi)
-# ---------------------------------------------------------------------------
-
-
-def _atan_inv_fraction(x: int, digits: int) -> Fraction:
-    """arctan(1/x) as an exact partial sum good to ``digits`` digits.
-
-    Alternating series, so the error is below the first omitted term;
-    terms shrink by a factor x^2 each step.
-    """
-    bound = Fraction(1, 10**digits)
-    total = Fraction(0)
-    term = Fraction(1, x)
-    n = 0
-    while abs(term) > bound:
-        total += term
-        n += 1
-        term = Fraction((-1) ** n, (2 * n + 1) * x ** (2 * n + 1))
-    return total
-
-
-@lru_cache(maxsize=None)
-def _pi_fraction(digits: int) -> Fraction:
-    """pi via Machin's formula, accurate to ``digits`` decimal digits."""
-    d = digits + 5
-    return 16 * _atan_inv_fraction(5, d) - 4 * _atan_inv_fraction(239, d)
-
-
-def pi_big(precision: int) -> BigReal:
-    """pi rounded to ``precision`` significant digits."""
-    return BigReal.from_fraction(_pi_fraction(precision + 5), precision)
-
-
-@lru_cache(maxsize=None)
-def _sqrt_pi_decimal(digits: int) -> Decimal:
-    q = _pi_fraction(digits + 5)
-    with localcontext() as ctx:
-        ctx.prec = digits + 5
-        d = Decimal(q.numerator) / Decimal(q.denominator)
-        return d.sqrt()
-
-
-def sqrt_pi(precision: int) -> BigReal:
-    """Square root of pi to ``precision`` digits."""
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    return BigReal(_sqrt_pi_decimal(precision + 2), precision)
 
 
 # ---------------------------------------------------------------------------
@@ -295,28 +199,6 @@ def gamma_half_exact(m: int) -> Fraction:
     if m < 0:
         raise ValueError("half-integer gamma below 1/2 is not needed here")
     return Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
-
-
-def gamma_half_int(twice_arg: int, precision: int) -> BigReal:
-    """Gamma(twice_arg / 2) for positive twice_arg.
-
-    Integer arguments give the exact factorial; half-integer arguments give
-    the exact rational multiple of sqrt(pi), rendered at ``precision``.
-    """
-    if twice_arg <= 0:
-        raise ValueError("gamma: argument must be positive")
-    if twice_arg % 2 == 0:
-        return BigReal.from_int(gamma_int_exact(twice_arg // 2), precision)
-    m = (twice_arg - 1) // 2
-    coeff = gamma_half_exact(m)
-    with localcontext() as ctx:
-        ctx.prec = precision + 4
-        d = (
-            Decimal(coeff.numerator)
-            / Decimal(coeff.denominator)
-            * _sqrt_pi_decimal(precision + 4)
-        )
-    return BigReal(d, precision)
 
 
 def recip_gamma_exact(arg: Fraction) -> tuple[Fraction, int]:
@@ -355,11 +237,6 @@ def pochhammer(a: Fraction | int, n: int) -> Fraction:
         raise ValueError("pochhammer needs n >= 0")
     p, q = a.numerator, a.denominator
     return Fraction(math.prod(range(p, p + n * q, q)), q**n)
-
-
-def pochhammer_reflect(a: Fraction, n: int) -> Fraction:
-    """(-a)_n computed through the reflection (-a)_n = (-1)^n (a-n+1)_n."""
-    return (-1) ** n * pochhammer(a - n + 1, n)
 
 
 def binomial(n: int, r: int) -> int:

@@ -201,20 +201,3 @@ def certify_prime_structure(
             )
         )
     return FactorReport(entries=tuple(entries))
-
-
-def compare_power_series(
-    p: PowerSeries,
-    exact: tuple[tuple[int, Fraction], ...],
-    guard: int = DEFAULT_GUARD_DIGITS,
-) -> tuple[tuple[int, BigReal], ...]:
-    """Absolute deviation |c_m - exact_m| per power."""
-    lookup = dict(exact)
-    out = []
-    with localcontext() as ctx:
-        ctx.prec = p.precision + guard
-        for m, c in p.coeffs:
-            e = lookup.get(m, Fraction(0))
-            ed = Decimal(e.numerator) / Decimal(e.denominator)
-            out.append((m, BigReal(abs(c.value - ed), p.precision)))
-    return tuple(out)

@@ -44,9 +44,10 @@ from .mpnum import (
     gamma_half_exact,
 )
 from .hypergeom import (
-    TermCapExceeded,
     plain_sum_rational,
+    plain_terms,
     regularized_sum_rational,
+    sum_terms,
 )
 
 #: Hard ceiling on stored series entries; reaching it means the tail
@@ -56,6 +57,10 @@ TRUNCATION_CAP = 400
 
 class TruncationCapExceeded(RuntimeError):
     """Series assembly ran past the entry cap without meeting its target."""
+
+
+class DigitsExceedPrecision(ValueError):
+    """Asked to display more digits than the series actually carries."""
 
 
 @dataclass(frozen=True)
@@ -218,17 +223,15 @@ def build_series(
     if l_max is not None and threshold is not None:
         raise ValueError("give either l_max or threshold, not both")
     k = Fraction(k)
-
+    coeff = coeff_a if kind == "J" else coeff_a_modified
     start = N % 2
-    entries: list[tuple[int, BigReal]] = []
 
     if l_max is not None:
-        for L in range(start, l_max + 1, 2):
-            if len(entries) >= TRUNCATION_CAP:
-                raise TruncationCapExceeded(f"more than {TRUNCATION_CAP} entries")
-            entries.append((L, coeff_a(L, N, k, precision, guard)
-                            if kind == "J" else coeff_a_modified(L, N, k, precision, guard)))
-        return FLSeries(kind, N, k, tuple(entries), precision)
+        degrees = range(start, l_max + 1, 2)
+        if len(degrees) > TRUNCATION_CAP:
+            raise TruncationCapExceeded(f"more than {TRUNCATION_CAP} entries")
+        entries = tuple((L, coeff(L, N, k, precision, guard)) for L in degrees)
+        return FLSeries(kind, N, k, entries, precision)
 
     if threshold is None:
         thresh = Decimal(10) ** -(precision + 2)
@@ -239,12 +242,13 @@ def build_series(
     else:
         thresh = Decimal(threshold)
 
+    entries: list[tuple[int, BigReal]] = []
     small_run = 0
     L = start
     while small_run < 2:
         if len(entries) >= TRUNCATION_CAP:
             raise TruncationCapExceeded(f"more than {TRUNCATION_CAP} entries")
-        a = (coeff_a if kind == "J" else coeff_a_modified)(L, N, k, precision, guard)
+        a = coeff(L, N, k, precision, guard)
         entries.append((L, a))
         small_run = small_run + 1 if a.value.copy_abs() < thresh else 0
         L += 2
@@ -262,15 +266,20 @@ def eval_series(
     """Sum a_L P_L(x) with exact rational P_L values.
 
     Arguments outside [-1, 1] are fine; the polynomial growth there is the
-    series' own problem and is what ``accuracy_scan`` quantifies.
+    series' own problem and is what ``accuracy_scan`` quantifies.  Asking
+    for more digits than the series carries raises
+    :class:`DigitsExceedPrecision`.
     """
     x = Fraction(x)
     p = precision if precision is not None else s.precision
+    if p > s.precision:
+        raise DigitsExceedPrecision(
+            f"{p} digits requested from a {s.precision}-digit series"
+        )
     if not s.entries:
         return BigReal.from_int(0, p)
     lmax = s.l_max
-    wanted = {L for L, _ in s.entries}
-    coeffs = {L: a for L, a in s.entries}
+    coeffs = dict(s.entries)
 
     total = Decimal(0)
     with localcontext() as ctx:
@@ -281,7 +290,7 @@ def eval_series(
             if pval is None:
                 pm1, pl = pl, (Fraction(2 * L - 1) * x * pl - (L - 1) * pm1) / L
                 pval = pl
-            if L in wanted:
+            if L in coeffs:
                 pdec = Decimal(pval.numerator) / Decimal(pval.denominator)
                 total += coeffs[L].value * pdec
     return BigReal(total, p)
@@ -292,38 +301,6 @@ def eval_series(
 # ---------------------------------------------------------------------------
 
 
-def _maclaurin_rational(
-    kind: str,
-    N: int,
-    k: Fraction,
-    x: Fraction,
-    precision: int,
-    guard: int = DEFAULT_GUARD_DIGITS,
-) -> Fraction:
-    """Ascending power series for J_N(kx) or I_N(kx), summed to convergence."""
-    _check_kind(kind)
-    half = Fraction(k) * Fraction(x) / 2
-    if half == 0:
-        return Fraction(1) if N == 0 else Fraction(0)
-    hh = half * half
-    if kind == "J":
-        hh = -hh
-    term = half**N / math.factorial(N)
-    total = term
-    floor = Fraction(1, 10 ** (precision + guard))
-    small_run = 0
-    j = 0
-    while small_run < 2:
-        if j > 10 * precision + 500:
-            raise TermCapExceeded("ascending series did not converge")
-        term = term * hh / ((j + 1) * (j + 1 + N))
-        j += 1
-        total += term
-        thresh = floor * max(abs(total), Fraction(1))
-        small_run = small_run + 1 if abs(term) < thresh else 0
-    return total
-
-
 def maclaurin_ref(
     kind: str,
     N: int,
@@ -332,8 +309,18 @@ def maclaurin_ref(
     precision: int,
     guard: int = DEFAULT_GUARD_DIGITS,
 ) -> BigReal:
-    """Reference value of J_N(kx) or I_N(kx) from the ascending series."""
-    q = _maclaurin_rational(kind, N, Fraction(k), Fraction(x), precision, guard)
+    """Reference value of J_N(kx) or I_N(kx) from the ascending series.
+
+    The series is (kx/2)^N / N! * 0F1(; N+1; -+(kx/2)^2), so the generic
+    term recurrence yields it with no upper parameters.
+    """
+    _check_kind(kind)
+    half = Fraction(k) * Fraction(x) / 2
+    hh = half * half
+    if kind == "J":
+        hh = -hh
+    terms = plain_terms((), (Fraction(N + 1),), hh, half**N / math.factorial(N))
+    q = sum_terms(terms, precision, guard, 10 * precision + 501)
     return BigReal.from_fraction(q, precision)
 
 
@@ -438,41 +425,48 @@ def eval_allen(
     return BigReal.from_fraction(total, precision)
 
 
+#: Significant digits of a fit's error report; the fits' own coefficients
+#: carry 7 to 8 digits.
+FIT_REPORT_DIGITS = 8
+
+
 def accuracy_scan(
     s: FLSeries,
     x_lo: Fraction | int,
     x_hi: Fraction | int,
     grid: int,
-    reference: str = "maclaurin",
+    fits: tuple[str, ...] = (),
     precision: int | None = None,
-) -> AccuracyReport:
-    """Max |series - reference| over a uniform grid of ``grid`` points."""
+) -> AccuracyReport | tuple[AccuracyReport, ...]:
+    """Max |approximant - reference| over a uniform grid of ``grid`` points.
+
+    The reference is the ascending series, computed once per grid point and
+    shared by the series and by every published fit named in ``fits``
+    (``eval_allen`` names).  With no fits the series' report is returned;
+    otherwise a tuple of reports, the series' first and then one per fit at
+    ``FIT_REPORT_DIGITS`` digits.
+    """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
-    if reference not in ("maclaurin", "allen"):
-        raise ValueError("reference must be 'maclaurin' or 'allen'")
     x_lo, x_hi = Fraction(x_lo), Fraction(x_hi)
     p = precision if precision is not None else s.precision
-    allen_name = f"{s.kind}{s.order}"
-
-    worst = Decimal(0)
-    worst_x = x_lo
+    worst = [Decimal(0)] * (1 + len(fits))
+    worst_x = [x_lo] * (1 + len(fits))
     step = (x_hi - x_lo) / (grid - 1)
     with localcontext() as ctx:
         ctx.prec = p + DEFAULT_GUARD_DIGITS
         for i in range(grid):
             x = x_lo + i * step
-            got = eval_series(s, x, p).value
-            if reference == "maclaurin":
-                ref = maclaurin_ref(s.kind, s.order, s.k, x, p + 10).value
-            else:
-                ref = eval_allen(allen_name, x, p).value
-            err = abs(got - ref)
-            if err > worst:
-                worst, worst_x = err, x
-    return AccuracyReport(
-        x_range=(x_lo, x_hi),
-        grid_points=grid,
-        max_abs_error=BigReal(worst, p),
-        argmax_x=worst_x,
+            ref = maclaurin_ref(s.kind, s.order, s.k, x, p + 10).value
+            got = [eval_series(s, x, p)] + [eval_allen(name, x, p) for name in fits]
+            for j, value in enumerate(got):
+                err = abs(value.value - ref)
+                if err > worst[j]:
+                    worst[j], worst_x[j] = err, x
+    digits = [p] + [FIT_REPORT_DIGITS] * len(fits)
+    reports = tuple(
+        AccuracyReport(x_range=(x_lo, x_hi), grid_points=grid,
+                       max_abs_error=BigReal(w, d), argmax_x=wx)
+        for w, wx, d in zip(worst, worst_x, digits)
     )
+    return reports if fits else reports[0]

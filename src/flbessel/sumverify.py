@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .hypergeom import plain_sum_rational
 from .mpnum import BigReal, DEFAULT_GUARD_DIGITS, pochhammer
@@ -203,21 +202,6 @@ def partial_sums_rational(
     return tuple(out)
 
 
-def partial_sums(spec: SumSpec, guard: int = DEFAULT_GUARD_DIGITS) -> tuple[BigReal, ...]:
-    return tuple(
-        BigReal.from_fraction(q, spec.precision)
-        for q in partial_sums_rational(spec, guard)
-    )
-
-
-def summed_series_lhs(spec: SumSpec, guard: int = DEFAULT_GUARD_DIGITS) -> BigReal:
-    """Partial sum of the printed summand over L_terms parity terms."""
-    total = Fraction(0)
-    for L in _l_values(spec):
-        total += term_rational(spec, L, guard)
-    return BigReal.from_fraction(total, spec.precision)
-
-
 def rhs_rational(spec: SumSpec) -> Fraction:
     h, k = spec.h, Fraction(spec.k)
     sign = -1 if h % 2 else 1
@@ -228,11 +212,6 @@ def rhs_rational(spec: SumSpec) -> Fraction:
         / (math.factorial(h) * math.factorial(h + 1))
         * k ** (2 * h + 1)
     )
-
-
-def summed_series_rhs(spec: SumSpec) -> BigReal:
-    """The closed-form value the series converges to."""
-    return BigReal.from_fraction(rhs_rational(spec), spec.precision)
 
 
 def verify_identity(
@@ -251,9 +230,7 @@ def verify_identity(
         tol = rel_tol.to_fraction()
     else:
         tol = Fraction(rel_tol)
-    lhs_q = sum(
-        (term_rational(spec, L, guard) for L in _l_values(spec)), Fraction(0)
-    )
+    lhs_q = partial_sums_rational(spec, guard)[-1]
     rhs_q = rhs_rational(spec)
     rel = abs(lhs_q - rhs_q) / abs(rhs_q) if rhs_q else abs(lhs_q)
     return VerifyReport(
@@ -263,25 +240,3 @@ def verify_identity(
         rel_diff=BigReal.from_fraction(rel, max(spec.precision, 8)),
         passed=rel <= tol,
     )
-
-
-def cauchy_check(
-    partials: Sequence[BigReal | Fraction],
-    m: int,
-    n: int,
-    epsilon: Fraction | Decimal | BigReal,
-) -> bool:
-    """|S_m - S_n| < epsilon over a list of partial sums (0-based indices)."""
-    if not (m > n >= 0):
-        raise IndexError("need m > n >= 0")
-    if m >= len(partials):
-        raise IndexError("index m beyond the partial-sum list")
-
-    def as_fraction(v: BigReal | Fraction) -> Fraction:
-        return v.to_fraction() if isinstance(v, BigReal) else Fraction(v)
-
-    if isinstance(epsilon, BigReal):
-        eps = epsilon.to_fraction()
-    else:
-        eps = Fraction(epsilon)
-    return abs(as_fraction(partials[m]) - as_fraction(partials[n])) < eps

@@ -1,0 +1,126 @@
+"""Reference computations the tests check the package against.
+
+Each one reaches its value by a different route from the package code it
+witnesses: first-principles Pochhammer products instead of the term
+recurrence, closed forms instead of the Bonnet recurrence, the reflection
+formula instead of the rising product.  None of them is on a runtime path.
+"""
+
+from __future__ import annotations
+
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from typing import Sequence
+
+from flbessel.mpnum import DEFAULT_GUARD_DIGITS, BigReal, pochhammer
+from flbessel.powerprime import PowerSeries
+from flbessel.sumverify import SumSpec, partial_sums_rational
+
+
+def pochhammer_reflect(a: Fraction, n: int) -> Fraction:
+    """(-a)_n computed through the reflection (-a)_n = (-1)^n (a-n+1)_n."""
+    return (-1) ** n * pochhammer(a - n + 1, n)
+
+
+def term_direct(
+    upper: tuple[Fraction, ...], lower: tuple[Fraction, ...], z: Fraction, n: int
+) -> Fraction:
+    """Term n of the plain series from first principles (no recurrence)."""
+    num = Fraction(1)
+    for a in upper:
+        num *= pochhammer(a, n)
+    den = Fraction(1)
+    for b in lower:
+        den *= pochhammer(b, n)
+    return num / den * z**n / math.factorial(n)
+
+
+def leading_coefficient(L: int) -> Fraction:
+    """(2L)! / (2^L (L!)^2), the closed form for the x^L coefficient of P_L."""
+    return Fraction(math.factorial(2 * L), 2**L * math.factorial(L) ** 2)
+
+
+def eval_P_rational(L: int, x: Fraction) -> Fraction:
+    """P_L(x) by the Bonnet recurrence, exact on rationals."""
+    if L < 0:
+        raise ValueError("degree must be nonnegative")
+    if L == 0:
+        return Fraction(1)
+    pm1, p = Fraction(1), Fraction(x)
+    for n in range(1, L):
+        pm1, p = p, (Fraction(2 * n + 1) * x * p - n * pm1) / (n + 1)
+    return p
+
+
+def eval_P_via_2f1(L: int, x: Fraction) -> Fraction:
+    """P_L(x) through the terminating inverse-square-argument 2F1 form.
+
+    P_n(x) = 2^-n C(2n, n) x^n * sum_{m=0}^{floor(n/2)}
+             (1/2 - n/2)_m (-n/2)_m / ((1/2 - n)_m m!) x^-2m
+
+    The sum terminates on its own because one of the upper parameters is a
+    nonpositive integer or half-integer; x = 0 is outside its domain.
+    """
+    if L < 0:
+        raise ValueError("degree must be nonnegative")
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("the inverse-argument form needs x != 0")
+    a1 = Fraction(1, 2) - Fraction(L, 2)
+    a2 = -Fraction(L, 2)
+    b = Fraction(1, 2) - L
+    inv = 1 / x**2
+    total = Fraction(0)
+    for m in range(L // 2 + 1):
+        total += (
+            pochhammer(a1, m)
+            * pochhammer(a2, m)
+            / (pochhammer(b, m) * math.factorial(m))
+            * inv**m
+        )
+    return Fraction(math.comb(2 * L, L), 2**L) * x**L * total
+
+
+def compare_power_series(
+    p: PowerSeries,
+    exact: tuple[tuple[int, Fraction], ...],
+    guard: int = DEFAULT_GUARD_DIGITS,
+) -> tuple[tuple[int, BigReal], ...]:
+    """Absolute deviation |c_m - exact_m| per power."""
+    lookup = dict(exact)
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = p.precision + guard
+        for m, c in p.coeffs:
+            e = lookup.get(m, Fraction(0))
+            ed = Decimal(e.numerator) / Decimal(e.denominator)
+            out.append((m, BigReal(abs(c.value - ed), p.precision)))
+    return tuple(out)
+
+
+def summed_series_lhs(spec: SumSpec, guard: int = DEFAULT_GUARD_DIGITS) -> BigReal:
+    """Partial sum of the printed summand over L_terms parity terms."""
+    return BigReal.from_fraction(partial_sums_rational(spec, guard)[-1], spec.precision)
+
+
+def cauchy_check(
+    partials: Sequence[BigReal | Fraction],
+    m: int,
+    n: int,
+    epsilon: Fraction | Decimal | BigReal,
+) -> bool:
+    """|S_m - S_n| < epsilon over a list of partial sums (0-based indices)."""
+    if not (m > n >= 0):
+        raise IndexError("need m > n >= 0")
+    if m >= len(partials):
+        raise IndexError("index m beyond the partial-sum list")
+
+    def as_fraction(v: BigReal | Fraction) -> Fraction:
+        return v.to_fraction() if isinstance(v, BigReal) else Fraction(v)
+
+    if isinstance(epsilon, BigReal):
+        eps = epsilon.to_fraction()
+    else:
+        eps = Fraction(epsilon)
+    return abs(as_fraction(partials[m]) - as_fraction(partials[n])) < eps

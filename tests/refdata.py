@@ -15,7 +15,7 @@ from pathlib import Path
 
 DATA = Path(__file__).parent / "data"
 
-#: pi to 70 digits (independent reference for the internal Machin route).
+#: pi to 70 digits, for the sqrt(pi) factor of the regularized sums.
 PI_70 = Decimal(
     "3.141592653589793238462643383279502884197169399375105820974944592307816"
 )

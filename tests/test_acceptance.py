@@ -27,11 +27,9 @@ from flbessel.mpnum import (
     PrimePowers,
     factorize_reciprocal,
     pochhammer,
-    pochhammer_reflect,
 )
 from flbessel.powerprime import (
     certify_prime_structure,
-    compare_power_series,
     exact_power_series,
     maclaurin_exact,
     to_power_series,
@@ -46,12 +44,12 @@ from flbessel.series import (
     eval_series,
     maclaurin_ref,
 )
-from flbessel.sumverify import (
-    SumSpec,
+from flbessel.sumverify import SumSpec, partial_sums_rational, verify_identity
+from oracles import (
     cauchy_check,
-    partial_sums_rational,
+    compare_power_series,
+    pochhammer_reflect,
     summed_series_lhs,
-    verify_identity,
 )
 from refdata import (
     J0_EXPONENTS,

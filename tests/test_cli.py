@@ -161,6 +161,15 @@ def test_usage_errors_exit_2(capsys):
     ("bench", "--which", "j0", "--range", "3..1"),
     ("coeffs", "J", "0", "1", "--threshold", "0"),
     ("coeffs", "J", "0", "1", "--threshold", "-1"),
+    # |k|, or a bench range end, above twice the term cap: the terms still
+    # grow when the cap is reached, so the sum could never stop
+    ("coeffs", "J", "0", "1e400", "--lmax", "4"),
+    ("--digits", "2", "coeffs", "J", "0", "6000", "--lmax", "0"),
+    ("eval", "J", "0", "-1401", "1/2", "--lmax", "4"),
+    ("power", "I", "1", "2000", "--max-power", "4"),
+    ("verify", "--family", "j1", "--h-range", "0..1", "--k", "1e5"),
+    ("bench", "--which", "j0", "--range=-1401..3"),
+    ("bench", "--which", "i1", "--range", "0..1e9"),
 ])
 def test_out_of_range_input_exits_2_before_any_work(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -180,8 +189,17 @@ def test_verify_at_k_zero(capsys):
 
 
 def test_computational_error_exit_3(capsys):
-    # scale so large the series cannot meet its termination rule in the cap
-    code, _, err = run(capsys, "--digits", "2", "coeffs", "J", "0", "6000",
+    # a scale within the up-front bound (440 at 2 digits) whose series still
+    # cannot meet its termination rule in the cap
+    code, _, err = run(capsys, "--digits", "2", "coeffs", "J", "0", "400",
                        "--lmax", "0")
     assert code == 3
     assert "computation failed" in err
+
+
+def test_package_exports_resolve():
+    import flbessel
+
+    missing = [name for name in flbessel.__all__ if not hasattr(flbessel, name)]
+    assert missing == []
+    assert len(set(flbessel.__all__)) == len(flbessel.__all__)

@@ -10,29 +10,26 @@ from fractions import Fraction
 import pytest
 
 from flbessel.hypergeom import (
-    HypParams,
     LowerParamPole,
-    ShapeUnsupported,
     TermCapExceeded,
-    hyp_pfq,
-    hyp_pfq_regularized,
     plain_sum_rational,
     plain_terms,
     regularized_sum_rational,
-    term_direct,
+    sum_terms,
 )
 from flbessel.mpnum import BigReal, gamma_half_exact, gamma_int_exact, pochhammer
-from refdata import BRUTE_2F3, BRUTE_2F3_REG_ZERO
+from oracles import term_direct
+from refdata import BRUTE_2F3, BRUTE_2F3_REG_ZERO, PI_70
 
 F = Fraction
 
 
-def params(upper, lower, z, prec=60):
-    return HypParams(
-        upper=tuple(F(a) for a in upper),
-        lower=tuple(F(b) for b in lower),
-        argument=BigReal.from_fraction(F(z), prec),
+def plain(upper, lower, z, prec):
+    """The plain sum rendered once at ``prec`` digits."""
+    q = plain_sum_rational(
+        tuple(F(a) for a in upper), tuple(F(b) for b in lower), F(z), prec
     )
+    return BigReal.from_fraction(q, prec)
 
 
 def brute_sum(upper, lower, z, terms):
@@ -57,18 +54,16 @@ def term_direct_oracle(upper, lower, z, n):
 
 
 def test_pfq_at_zero_is_one():
-    p = params([F(1, 2)], [1, F(3, 2)], 0)
-    assert hyp_pfq(p, 30).value == 1
+    assert plain([F(1, 2)], [1, F(3, 2)], 0, 30).value == 1
 
 
 def test_1f2_published_value():
-    p = params([F(1, 2)], [1, F(3, 2)], F(-1, 4))
-    assert str(hyp_pfq(p, 34)) == "0.9197304100897602393144211940806200"
+    got = plain([F(1, 2)], [1, F(3, 2)], F(-1, 4), 34)
+    assert str(got) == "0.9197304100897602393144211940806200"
 
 
 def test_2f3_against_brute_force():
-    p = params([F(1, 2), 1], [F(3, 2), 1, 1], F(-1, 4))
-    got = hyp_pfq(p, 50)
+    got = plain([F(1, 2), 1], [F(3, 2), 1, 1], F(-1, 4), 50)
     # frozen from the 200-term direct summation
     assert abs(got.value - BRUTE_2F3) < Decimal(10) ** -49
     # and re-derived in place at lower depth
@@ -85,49 +80,61 @@ def test_terms_match_direct_products():
         gen = plain_terms(upper, lower, z)
         for n in range(30):
             assert next(gen) == term_direct(upper, lower, z, n)
+        # started mid-series from a given term, as the regularized route does
+        start = rng.randint(1, 12)
+        gen = plain_terms(upper, lower, z, term_direct(upper, lower, z, start), start)
+        for n in range(start, start + 20):
+            assert next(gen) == term_direct(upper, lower, z, n)
+
+
+def test_sum_terms_stopping_rule_and_cap():
+    tiny = F(1, 10**30)
+    # the first term is always taken, even when it is itself negligible
+    assert sum_terms(iter([tiny, 0, 0, 5]), 10, 0, 100) == tiny
+    # one small term is not enough; two in a row are
+    assert sum_terms(iter([1, tiny, 1, tiny, tiny, 7]), 10, 0, 100) == 2 + 3 * tiny
+    # terms up to index ``cap`` are allowed, the next one raises
+    assert sum_terms(iter([1, 1, tiny, tiny]), 10, 0, 3) == 2 + 2 * tiny
+    with pytest.raises(TermCapExceeded):
+        sum_terms(iter([1, 1, 1, tiny, tiny]), 10, 0, 3)
 
 
 def test_lower_pole_rejected():
     with pytest.raises(LowerParamPole):
-        hyp_pfq(params([F(1, 2)], [0, F(3, 2)], F(-1, 4)), 20)
+        plain([F(1, 2)], [0, F(3, 2)], F(-1, 4), 20)
     with pytest.raises(LowerParamPole):
-        hyp_pfq(params([F(1, 2)], [-3, F(3, 2)], F(-1, 4)), 20)
-
-
-def test_shape_rejected():
-    with pytest.raises(ShapeUnsupported):
-        hyp_pfq(params([F(1, 2), 1], [F(3, 2), 1], F(-1, 4)), 20)
-    with pytest.raises(ShapeUnsupported):
-        hyp_pfq_regularized(params([1], [1], F(1, 2)), 20)
+        plain([F(1, 2)], [-3, F(3, 2)], F(-1, 4), 20)
 
 
 def test_term_cap_exceeded():
     # |z| so large the terms are still climbing when the cap hits
     with pytest.raises(TermCapExceeded):
         plain_sum_rational((F(1, 2),), (F(1), F(3, 2)), F(-9 * 10**6), 1)
+    with pytest.raises(TermCapExceeded):
+        regularized_sum_rational((F(1, 2), F(1)), (F(3, 2), F(0), F(2)), F(-9 * 10**6), 1)
 
 
 # -- regularized ---------------------------------------------------------------
 
 
 def test_regularized_at_zero():
-    # all lower params positive: value is the product of reciprocal gammas
-    p = params([F(1, 2), 1], [1, 2, F(3, 2)], 0)
-    got = hyp_pfq_regularized(p, 40)
-    from flbessel.mpnum import sqrt_pi
-
-    with localcontext() as ctx:
-        ctx.prec = 60
-        want = 2 / sqrt_pi(50).value  # 1/Gamma(3/2) = 2/sqrt(pi)
-        assert abs(got.value - want) < Decimal(10) ** -39
+    # all lower params positive: value is the product of reciprocal gammas,
+    # 1/Gamma(1) * 1/Gamma(2) * 1/Gamma(3/2) = 2 / sqrt(pi)
+    q, s = regularized_sum_rational((F(1, 2), F(1)), (F(1), F(2), F(3, 2)), F(0), 40)
+    assert (q, s) == (F(2), -1)
 
 
 def test_regularized_zero_lower_parameter():
     # lower parameter 0: the head of the series vanishes, summation starts
     # at n = 1
-    p = params([F(1, 2), 1], [F(3, 2), 0, 2], F(-1, 4))
-    got = hyp_pfq_regularized(p, 45)
-    assert abs(got.value - BRUTE_2F3_REG_ZERO) < Decimal(10) ** -44
+    q, s = regularized_sum_rational(
+        (F(1, 2), F(1)), (F(3, 2), F(0), F(2)), F(-1, 4), 45
+    )
+    assert s == -1
+    with localcontext() as ctx:
+        ctx.prec = 70
+        value = Decimal(q.numerator) / Decimal(q.denominator) / PI_70.sqrt()
+        assert abs(value - BRUTE_2F3_REG_ZERO) < Decimal(10) ** -44
 
     # re-derive with in-place zero-skipping brute force
     total = F(0)
@@ -136,30 +143,18 @@ def test_regularized_zero_lower_parameter():
         t /= gamma_half_exact(n + 1) * gamma_int_exact(n) * gamma_int_exact(n + 2)
         t *= F(-1, 4) ** n / math.factorial(n)
         total += t
-    q, s = regularized_sum_rational(
-        (F(1, 2), F(1)), (F(3, 2), F(0), F(2)), F(-1, 4), 45
-    )
-    assert s == -1
     assert abs(q - total) < F(1, 10**55)
 
 
 def test_regularized_consistency_identity_spot():
-    # Gamma(b1) Gamma(b2) Gamma(b3) * regularized == plain
-    upper, lower = [F(3, 2), 2], [F(7, 2), 2, 3]
-    plain = hyp_pfq(params(upper, lower, F(-1, 4)), 40)
-    reg = hyp_pfq_regularized(params(upper, lower, F(-1, 4)), 40)
-    with localcontext() as ctx:
-        ctx.prec = 60
-        from flbessel.mpnum import sqrt_pi
-
-        gammas = (
-            gamma_half_exact(3).numerator
-            / Decimal(gamma_half_exact(3).denominator)
-            * sqrt_pi(50).value
-            * gamma_int_exact(2)
-            * gamma_int_exact(3)
-        )
-        assert abs(reg.value * gammas - plain.value) < Decimal(10) ** -38
+    # Gamma(b1) Gamma(b2) Gamma(b3) * regularized == plain; the sqrt(pi) of
+    # Gamma(7/2) cancels the regularized sum's 1/sqrt(pi) exactly
+    upper, lower = (F(3, 2), F(2)), (F(7, 2), F(2), F(3))
+    plain_q = plain_sum_rational(upper, lower, F(-1, 4), 40)
+    q, s = regularized_sum_rational(upper, lower, F(-1, 4), 40)
+    assert s == -1
+    gammas = gamma_half_exact(3) * gamma_int_exact(2) * gamma_int_exact(3)
+    assert abs(q * gammas - plain_q) < F(1, 10**38)
 
 
 def test_regularized_consistency_identity_random():
@@ -191,8 +186,8 @@ def test_monotone_refinement_on_coefficient_family():
     for L in (0, 2, 6, 16, 40, 80):
         upper = [F(L + 1, 2)]
         lower = [F(L + 2, 2), F(2 * L + 3, 2)]
-        lo = hyp_pfq(params(upper, lower, F(-1, 4)), 30)
-        hi = hyp_pfq(params(upper, lower, F(-1, 4)), 60)
+        lo = plain(upper, lower, F(-1, 4), 30)
+        hi = plain(upper, lower, F(-1, 4), 60)
         assert abs(lo.value - hi.value) <= Decimal(10) ** -29
 
 

@@ -3,19 +3,15 @@
 from __future__ import annotations
 
 import random
+import sys
+import traceback
 from fractions import Fraction
 
 import pytest
 
-from flbessel.legendre import (
-    ZeroArgument,
-    eval_P,
-    eval_P_rational,
-    eval_P_via_2f1,
-    leading_coefficient,
-    monomials,
-)
-from flbessel.mpnum import BigReal
+from flbessel import legendre
+from flbessel.legendre import monomials
+from oracles import eval_P_rational, eval_P_via_2f1, leading_coefficient
 
 F = Fraction
 
@@ -45,8 +41,7 @@ def test_eval_examples():
     assert eval_P_rational(0, F(7, 3)) == 1
     assert eval_P_rational(6, F(1)) == 1
     assert eval_P_rational(4, F(1, 2)) == F(-37, 128)
-    x = BigReal.parse("0.25", 20)
-    assert eval_P(2, x).to_fraction() == F(3, 2) * F(1, 16) - F(1, 2)
+    assert eval_P_rational(2, F(1, 4)) == F(3, 2) * F(1, 16) - F(1, 2)
 
 
 def test_eval_matches_monomials_exactly():
@@ -88,7 +83,7 @@ def test_inverse_argument_form_matches_recurrence():
 
 
 def test_inverse_argument_form_rejects_zero():
-    with pytest.raises(ZeroArgument):
+    with pytest.raises(ValueError):
         eval_P_via_2f1(4, F(0))
 
 
@@ -97,3 +92,19 @@ def test_bounded_on_unit_interval(L):
     for i in range(0, 1001, 1):
         x = F(i, 500) - 1
         assert abs(eval_P_rational(L, x)) <= 1
+
+
+def test_monomials_on_a_cold_cache_needs_no_deep_recursion():
+    # the table is built bottom-up: with only 60 frames of headroom, a cold
+    # cache still reaches degree 300, where a recursive build needs hundreds
+    depth = len(traceback.extract_stack())
+    limit = sys.getrecursionlimit()
+    legendre._coeff_table.cache_clear()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        coeffs = monomials(300).coeffs
+    finally:
+        sys.setrecursionlimit(limit)
+        legendre._coeff_table.cache_clear()
+    assert coeffs[300] == leading_coefficient(300)
+    assert sum(coeffs) == 1

@@ -7,12 +7,12 @@ from fractions import Fraction
 
 from flbessel.powerprime import (
     certify_prime_structure,
-    compare_power_series,
     exact_power_series,
     maclaurin_exact,
     to_power_series,
 )
 from flbessel.series import build_series
+from oracles import compare_power_series
 from refdata import J0_EXPONENTS, J1_EXPONENTS, table1_rows, ulp_of
 
 F = Fraction

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from flbessel import series
 from flbessel.series import (
+    DigitsExceedPrecision,
     TruncationCapExceeded,
     accuracy_scan,
     build_series,
@@ -106,6 +108,11 @@ def test_build_series_rejects_both_modes():
 def test_truncation_cap():
     with pytest.raises(TruncationCapExceeded):
         build_series("J", 0, 1, threshold=F(1, 10**4500), precision=5)
+    # an l_max beyond the cap is refused before any coefficient is computed
+    misses = series._coeff_rational.cache_info().misses
+    with pytest.raises(TruncationCapExceeded):
+        build_series("J", 0, F(7, 9), l_max=900, precision=5)
+    assert series._coeff_rational.cache_info().misses == misses
 
 
 def test_series_sign_patterns(j0_42, j1_43, i0_46, i1_45):
@@ -142,6 +149,13 @@ def test_eval_empty_series():
     assert eval_series(empty, F(2), 30).is_zero()
 
 
+def test_eval_refuses_digits_beyond_the_series(j0_42):
+    coarse = build_series("J", 0, 1, l_max=42, precision=20)
+    with pytest.raises(DigitsExceedPrecision):
+        eval_series(coarse, 1, 60)
+    assert eval_series(coarse, 1, 20) == eval_series(j0_42, 1, 20)
+
+
 def test_maclaurin_reference_against_independent_values():
     for (kind, N, xs), want in TRUE_VALUES.items():
         got = maclaurin_ref(kind, N, 1, F(xs), 40)
@@ -167,9 +181,12 @@ def test_allen_quoted_displays():
 
 
 def test_allen_fit_meets_its_published_bound(j0_42):
-    report = accuracy_scan(j0_42, -3, 3, 61, reference="allen", precision=20)
-    # the fit itself is only 5e-8 accurate, so series-vs-fit sits there too
-    assert report.max_abs_error.value < Decimal("5e-8")
+    series_rep, fit_rep = accuracy_scan(j0_42, -3, 3, 61, ("J0",), precision=20)
+    # the fit is only 5e-8 accurate; the series is far closer to the truth
+    assert fit_rep.max_abs_error.value < Decimal("5e-8")
+    assert fit_rep.max_abs_error.precision == 8
+    assert series_rep.max_abs_error.value < Decimal("1e-19")
+    assert series_rep == accuracy_scan(j0_42, -3, 3, 61, precision=20)
 
 
 def test_accuracy_scan_basics(j0_42):
@@ -180,4 +197,4 @@ def test_accuracy_scan_basics(j0_42):
     with pytest.raises(ValueError):
         accuracy_scan(j0_42, -1, 1, 1)
     with pytest.raises(ValueError):
-        accuracy_scan(j0_42, -1, 1, 5, reference="chebyshev")
+        accuracy_scan(j0_42, -1, 1, 5, ("K0",))
