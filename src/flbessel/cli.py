@@ -30,8 +30,18 @@ _COMPUTATION_ERRORS = (
 )
 
 
+#: Largest accepted ``--digits`` and ``table1 --table-digits``.  Exact sums
+#: grow with the precision, so a larger request would run for minutes.
+MAX_DIGITS = 10_000
+
+
 class UsageError(ValueError):
     pass
+
+
+def _check_digits(value: int, name: str) -> None:
+    if value > MAX_DIGITS:
+        raise UsageError(f"{name} must be at most {MAX_DIGITS}")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -205,6 +215,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    if args.table_digits < 1:
+        raise UsageError("--table-digits must be positive")
+    _check_digits(args.table_digits, "--table-digits")
     spec = sumverify.SumSpec(
         family="j0", h=0, k=Fraction(1), L_terms=args.rows,
         precision=max(args.table_digits + 4, 50),
@@ -302,7 +315,8 @@ def _common_options(parser: argparse.ArgumentParser, top_level: bool) -> None:
     suppress = argparse.SUPPRESS
     parser.add_argument("--digits", type=int,
                         default=50 if top_level else suppress,
-                        help="working/display precision in significant digits")
+                        help="working/display precision in significant "
+                             f"digits, at most {MAX_DIGITS}")
     parser.add_argument("--format", choices=["text", "json"],
                         default="text" if top_level else suppress)
     parser.add_argument("--out", default="-" if top_level else suppress,
@@ -368,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table1",
                        help="convergence table of the constant-term partial sums")
     t.add_argument("--rows", type=int, default=17)
-    t.add_argument("--table-digits", type=int, default=48)
+    t.add_argument("--table-digits", type=int, default=48,
+                   help=f"digits per row, at most {MAX_DIGITS}")
     _common_options(t, top_level=False)
     t.set_defaults(func=cmd_table1)
 
@@ -398,6 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.digits < 1:
         parser.error("--digits must be positive")
     try:
+        _check_digits(args.digits, "--digits")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

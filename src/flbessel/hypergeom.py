@@ -7,17 +7,24 @@ upper parameters), so a straight term-recurrence sum always converges:
 
 Whenever the argument is rational -- and every argument produced by the
 coefficient formulas is, since it has the form -k^2/4 with rational k -- the
-terms are accumulated as exact ``Fraction`` values and only the final partial
-sum is rounded.  That makes results deterministic to the last digit and frees
-the termination rule from rounding noise.
+sum is exact and only the final value is rounded.  That makes results
+deterministic to the last digit and frees the termination rule from
+rounding noise.
 
 Every series in the package -- plain, regularized, and the ascending series
 of the Bessel functions -- is generated by :func:`plain_terms` and summed by
-:func:`sum_terms`.  Termination: stop once two consecutive terms after the
-first are each below 10^-(precision + guard) times the current partial-sum
-magnitude (floored at one).  A single small term is not trusted because the
-coefficient-family series alternate in sign and an individual term can be
-accidentally tiny.
+:func:`sum_terms`.  The generator yields integer pairs: the first term, then
+the ratio t_{n+1}/t_n as an unreduced integer numerator and a positive
+integer denominator built from the parameters' numerators and denominators.
+The sum keeps term n as P/Q and the partial sum as T/Q, with no gcd along
+the way (the idea behind binary splitting, Haible & Papanikolaou 1998, used
+here term by term); ``Fraction(T, Q)`` at the end is the one reduction.
+
+Termination: stop once two consecutive terms after the first are each below
+10^-(precision + guard) times the current partial-sum magnitude (floored at
+one), decided exactly on the integers.  A single small term is not trusted
+because the coefficient-family series alternate in sign and an individual
+term can be accidentally tiny.
 
 The regularized variant divides each lower parameter's contribution by a
 gamma function instead of a Pochhammer, which keeps the sum finite when a
@@ -64,46 +71,86 @@ def plain_terms(
     first: Fraction = Fraction(1),
     start: int = 0,
 ):
-    """Exact series terms t_start, t_start+1, ... through the ratio recurrence.
+    """Integer pairs (p, q), q > 0: term ``start`` as p/q, then each ratio.
 
-    ``first`` is the value of term ``start``; the default starts the plain
-    series at t_0 = 1.
+    The first pair is ``first`` itself, the value of term ``start`` (the
+    default starts the plain series at t_0 = 1).  Every later pair is the
+    ratio t_{n+1}/t_n, built from the numerators and denominators of the
+    parameters and of z without any gcd, so the running product of the
+    pairs is the term.
     """
-    term = first
+    ups = [(a.numerator, a.denominator) for a in map(Fraction, upper)]
+    lows = [(b.numerator, b.denominator) for b in map(Fraction, lower)]
+    z = Fraction(z)
+    # the parameter denominators and z are the same in every ratio
+    p_const, q_const = z.numerator, z.denominator
+    for _, d in lows:
+        p_const *= d
+    for _, d in ups:
+        q_const *= d
+    first = Fraction(first)
+    yield first.numerator, first.denominator
     n = start
     while True:
-        yield term
-        num = Fraction(1)
-        for a in upper:
-            num *= a + n
-        den = Fraction(n + 1)
-        for b in lower:
-            den *= b + n
-        term = term * num / den * z
+        p = p_const
+        for a, d in ups:
+            p *= a + n * d
+        q = q_const * (n + 1)
+        for b, d in lows:
+            q *= b + n * d
+        yield (-p, -q) if q < 0 else (p, q)
         n += 1
 
 
 def sum_terms(
-    terms: Iterable[Fraction], precision: int, guard: int, cap: int
+    factors: Iterable[tuple[int, int]], precision: int, guard: int, cap: int
 ) -> Fraction:
-    """Exact partial sum of ``terms`` under the two-small-terms rule.
+    """Exact partial sum of the series ``factors`` describes.
+
+    ``factors`` yields the first term and then the term ratios as integer
+    pairs (p, q) with q > 0, as :func:`plain_terms` does.  Term n is kept as
+    P/Q and the partial sum as T/Q, all unreduced; ``Fraction(T, Q)`` at the
+    end is the only reduction.
 
     The first term is always taken.  The sum stops after two later terms in
-    a row fall below 10^-(precision + guard) * max(|S|, 1); a term past
-    index ``cap`` (counting the first as 0) raises :class:`TermCapExceeded`.
+    a row fall below 10^-(precision + guard) * max(|S|, 1), that is
+    10^(precision + guard) |P| < max(|T|, Q); a term past index ``cap``
+    (counting the first as 0) raises :class:`TermCapExceeded`.
     """
-    floor = Fraction(1, 10 ** (precision + guard))
-    total = Fraction(0)
+    scale = 10 ** (precision + guard)
+    scale_bits = scale.bit_length()
+    factors = iter(factors)
+    P, Q = next(factors, (0, 1))
+    T = P
     small_run = 0
-    for n, term in enumerate(terms):
+    for n, (p, q) in enumerate(factors, 1):
         if n > cap:
             raise TermCapExceeded(f"no convergence within {cap} terms")
-        total += term
-        if n > 0:
-            small_run = small_run + 1 if abs(term) < floor * max(abs(total), 1) else 0
-            if small_run == 2:
-                return total
-    return total
+        P *= p
+        Q *= q
+        T = T * q + P
+        small_run = small_run + 1 if _is_small(P, T, Q, scale, scale_bits) else 0
+        if small_run == 2:
+            break
+    return Fraction(T, Q)
+
+
+def _is_small(P: int, T: int, Q: int, scale: int, scale_bits: int) -> bool:
+    """Exactly whether scale * |P| < max(|T|, Q).
+
+    The bit length of scale * |P| is the sum of the two bit lengths or one
+    less, so bit lengths settle every case but a near tie, which is compared
+    exactly.
+    """
+    if P == 0:
+        return True
+    bound = max(abs(T), Q)
+    gap = abs(P).bit_length() + scale_bits - bound.bit_length()
+    if gap < 0:
+        return True
+    if gap > 1:
+        return False
+    return scale * abs(P) < bound
 
 
 def plain_sum_rational(

@@ -112,6 +112,16 @@ def _phase_and_argument(kind: str, L: int, N: int, k: Fraction) -> tuple[int, Fr
     return 1, z
 
 
+def reduced_parameters(
+    L: int, N: int
+) -> tuple[tuple[Fraction], tuple[Fraction, Fraction]]:
+    """Upper and lower parameters of the reduced 1F2, for N in {0, 1}:
+
+    1F2((L+N+1)/2; (L+N+2)/2, L+3/2; z).
+    """
+    return (Fraction(L + N + 1, 2),), (Fraction(L + N + 2, 2), Fraction(2 * L + 3, 2))
+
+
 def coeff_rational_reduced(
     L: int, N: int, k: Fraction, z: Fraction, sigma: int,
     precision: int, guard: int = DEFAULT_GUARD_DIGITS,
@@ -121,12 +131,6 @@ def coeff_rational_reduced(
     sqrt(pi)/Gamma(L+3/2) folds into the rational prefactor, so the whole
     value is an exact rational.
     """
-    if N == 0:
-        upper = (Fraction(L + 1, 2),)
-        lower = (Fraction(L + 2, 2), Fraction(2 * L + 3, 2))
-    else:
-        upper = (Fraction(L + 2, 2),)
-        lower = (Fraction(L + 3, 2), Fraction(2 * L + 3, 2))
     pref = (
         Fraction(2 * (2 * L + 1), 2 ** (2 * L + 2))
         * Fraction(k) ** L
@@ -134,7 +138,7 @@ def coeff_rational_reduced(
         * binomial(L, (L - N) // 2)
         / gamma_half_exact(L + 1)
     )
-    return pref * plain_sum_rational(upper, lower, z, precision, guard)
+    return pref * plain_sum_rational(*reduced_parameters(L, N), z, precision, guard)
 
 
 def coeff_rational_general(

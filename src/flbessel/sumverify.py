@@ -38,6 +38,7 @@ from functools import lru_cache
 
 from .hypergeom import plain_sum_rational
 from .mpnum import BigReal, DEFAULT_GUARD_DIGITS, pochhammer
+from .series import reduced_parameters
 
 FAMILIES = ("j0", "j1")
 VARIANTS = ("pochhammer", "reflected", "gammaform")
@@ -81,14 +82,9 @@ class VerifyReport:
 
 @lru_cache(maxsize=None)
 def _f12(N: int, L: int, k: Fraction, precision: int, guard: int) -> Fraction:
+    """The reduced 1F2 of the order-N coefficient route at z = -k^2/4."""
     z = -Fraction(k) ** 2 / 4
-    if N == 0:
-        upper = (Fraction(L + 1, 2),)
-        lower = (Fraction(L + 2, 2), Fraction(2 * L + 3, 2))
-    else:
-        upper = (Fraction(L + 2, 2),)
-        lower = (Fraction(L + 3, 2), Fraction(2 * L + 3, 2))
-    return plain_sum_rational(upper, lower, z, precision, guard)
+    return plain_sum_rational(*reduced_parameters(L, N), z, precision, guard)
 
 
 def _quotient(sign: int, upper: tuple, lower: tuple, m: int) -> Fraction:

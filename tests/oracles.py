@@ -3,7 +3,8 @@
 Each one reaches its value by a different route from the package code it
 witnesses: first-principles Pochhammer products instead of the term
 recurrence, closed forms instead of the Bonnet recurrence, the reflection
-formula instead of the rising product.  None of them is on a runtime path.
+formula instead of the rising product, reduced ``Fraction`` terms instead of
+unreduced integer ratios.  None of them is on a runtime path.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
+from flbessel.hypergeom import TermCapExceeded
 from flbessel.mpnum import DEFAULT_GUARD_DIGITS, BigReal, pochhammer
 from flbessel.powerprime import PowerSeries
 from flbessel.sumverify import SumSpec, partial_sums_rational
@@ -36,9 +38,69 @@ def term_direct(
     return num / den * z**n / math.factorial(n)
 
 
+def fraction_terms(
+    upper: tuple[Fraction, ...],
+    lower: tuple[Fraction, ...],
+    z: Fraction,
+    first: Fraction = Fraction(1),
+    start: int = 0,
+):
+    """Series terms t_start, t_start+1, ... as reduced ``Fraction`` values.
+
+    The term-by-term ``Fraction`` recurrence that ``hypergeom.plain_terms``
+    replaced with unreduced integer ratios.
+    """
+    term = first
+    n = start
+    while True:
+        yield term
+        num = Fraction(1)
+        for a in upper:
+            num *= a + n
+        den = Fraction(n + 1)
+        for b in lower:
+            den *= b + n
+        term = term * num / den * z
+        n += 1
+
+
+def fraction_sum_terms(terms, precision: int, guard: int, cap: int) -> Fraction:
+    """The two-small-terms sum on reduced ``Fraction`` terms and partial sums.
+
+    The loop that ``hypergeom.sum_terms`` replaced: the first term is always
+    taken, the sum stops after two later terms in a row fall below
+    10^-(precision + guard) * max(|S|, 1), and a term past index ``cap``
+    raises ``TermCapExceeded``.
+    """
+    floor = Fraction(1, 10 ** (precision + guard))
+    total = Fraction(0)
+    small_run = 0
+    for n, term in enumerate(terms):
+        if n > cap:
+            raise TermCapExceeded(f"no convergence within {cap} terms")
+        total += term
+        if n > 0:
+            small_run = small_run + 1 if abs(term) < floor * max(abs(total), 1) else 0
+            if small_run == 2:
+                return total
+    return total
+
+
 def leading_coefficient(L: int) -> Fraction:
     """(2L)! / (2^L (L!)^2), the closed form for the x^L coefficient of P_L."""
     return Fraction(math.factorial(2 * L), 2**L * math.factorial(L) ** 2)
+
+
+def monomial_coefficient(L: int, m: int) -> Fraction:
+    """[x^m] P_L from the explicit sum, with m = L - 2j:
+
+    (-1)^j (2L - 2j)! / (2^L j! (L - j)! (L - 2j)!), zero for the other parity.
+    """
+    if m < 0 or m > L or (L - m) % 2:
+        return Fraction(0)
+    j = (L - m) // 2
+    f = math.factorial
+    return Fraction((-1) ** j * f(2 * L - 2 * j), 2**L * f(j) * f(L - j) * f(m))
 
 
 def eval_P_rational(L: int, x: Fraction) -> Fraction:

@@ -7,7 +7,7 @@ from decimal import Decimal
 
 import pytest
 
-from flbessel.cli import main
+from flbessel.cli import MAX_DIGITS, main
 from refdata import DATA, golden, table1_rows, ulp_of
 
 #: bench, power --factorize and verify outputs, byte for byte, recorded
@@ -170,12 +170,29 @@ def test_usage_errors_exit_2(capsys):
     ("verify", "--family", "j1", "--h-range", "0..1", "--k", "1e5"),
     ("bench", "--which", "j0", "--range=-1401..3"),
     ("bench", "--which", "i1", "--range", "0..1e9"),
+    # precision above MAX_DIGITS, before or after the subcommand
+    ("--digits", "200000", "coeffs", "J", "0", "1", "--lmax", "0"),
+    ("coeffs", "J", "0", "1", "--lmax", "0", "--digits", "10001"),
+    ("--digits", "20000", "verify", "--family", "j0", "--h-range", "0..0"),
+    ("table1", "--table-digits", "10001"),
+    ("table1", "--table-digits", "0"),
 ])
 def test_out_of_range_input_exits_2_before_any_work(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_precision_at_the_bound_is_accepted(capsys):
+    code, out, _ = run(capsys, "--digits", str(MAX_DIGITS), "coeffs", "J", "0",
+                       "1/2", "--lmax", "0")
+    assert code == 0
+    assert len(out.split()[1]) == MAX_DIGITS + 2  # "0." and the digits
+    code, out, _ = run(capsys, "table1", "--rows", "2",
+                       "--table-digits", str(MAX_DIGITS))
+    assert code == 0
+    assert len(out.split()) == 2
 
 
 def test_verify_at_k_zero(capsys):

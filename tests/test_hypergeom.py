@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flbessel.hypergeom import (
     LowerParamPole,
@@ -16,9 +19,16 @@ from flbessel.hypergeom import (
     plain_terms,
     regularized_sum_rational,
     sum_terms,
+    term_cap,
 )
-from flbessel.mpnum import BigReal, gamma_half_exact, gamma_int_exact, pochhammer
-from oracles import term_direct
+from flbessel.mpnum import (
+    BigReal,
+    gamma_half_exact,
+    gamma_int_exact,
+    pochhammer,
+    recip_gamma_exact,
+)
+from oracles import fraction_sum_terms, fraction_terms, term_direct
 from refdata import BRUTE_2F3, BRUTE_2F3_REG_ZERO, PI_70
 
 F = Fraction
@@ -38,6 +48,24 @@ def brute_sum(upper, lower, z, terms):
         (term_direct_oracle(upper, lower, F(z), n) for n in range(terms)),
         F(0),
     )
+
+
+def running_products(pairs, count):
+    """The first ``count`` terms that integer pairs from ``plain_terms`` give."""
+    P = Q = 1
+    out = []
+    for p, q in itertools.islice(pairs, count):
+        P *= p
+        Q *= q
+        out.append(F(P, Q))
+    return out
+
+
+def counted(items, seen):
+    """Pass ``items`` through, appending each one to ``seen``."""
+    for item in items:
+        seen.append(item)
+        yield item
 
 
 def term_direct_oracle(upper, lower, z, n):
@@ -77,26 +105,36 @@ def test_terms_match_direct_products():
         upper = tuple(F(rng.randint(1, 9), rng.choice((1, 2))) for _ in range(2))
         lower = tuple(F(rng.randint(1, 9), rng.choice((1, 2))) for _ in range(3))
         z = F(rng.randint(-8, 8), rng.randint(1, 4))
-        gen = plain_terms(upper, lower, z)
+        terms = running_products(plain_terms(upper, lower, z), 30)
         for n in range(30):
-            assert next(gen) == term_direct(upper, lower, z, n)
+            assert terms[n] == term_direct(upper, lower, z, n)
         # started mid-series from a given term, as the regularized route does
         start = rng.randint(1, 12)
-        gen = plain_terms(upper, lower, z, term_direct(upper, lower, z, start), start)
+        pairs = plain_terms(upper, lower, z, term_direct(upper, lower, z, start), start)
+        terms = running_products(pairs, 20)
         for n in range(start, start + 20):
-            assert next(gen) == term_direct(upper, lower, z, n)
+            assert terms[n - start] == term_direct(upper, lower, z, n)
 
 
 def test_sum_terms_stopping_rule_and_cap():
+    # each case gives the first term and then the term ratios as integer
+    # pairs; ``tiny`` is the pair of the term 10^-30
     tiny = F(1, 10**30)
-    # the first term is always taken, even when it is itself negligible
-    assert sum_terms(iter([tiny, 0, 0, 5]), 10, 0, 100) == tiny
-    # one small term is not enough; two in a row are
-    assert sum_terms(iter([1, tiny, 1, tiny, tiny, 7]), 10, 0, 100) == 2 + 3 * tiny
-    # terms up to index ``cap`` are allowed, the next one raises
-    assert sum_terms(iter([1, 1, tiny, tiny]), 10, 0, 3) == 2 + 2 * tiny
+    tiny_pair = (1, 10**30)
+    # the first term is always taken, even when it is itself negligible:
+    # terms tiny, 0, 0 stop before the pair after them is read
+    pairs = iter([tiny_pair, (0, 1), (1, 1), (5, 1)])
+    assert sum_terms(pairs, 10, 0, 100) == tiny
+    assert list(pairs) == [(5, 1)]
+    # one small term is not enough; two in a row are:
+    # terms 1, tiny, 1, tiny, tiny, 7
+    pairs = [(1, 1), tiny_pair, (10**30, 1), tiny_pair, (1, 1), (7 * 10**30, 1)]
+    assert sum_terms(iter(pairs), 10, 0, 100) == 2 + 3 * tiny
+    # terms up to index ``cap`` are allowed, the next one raises:
+    # terms 1, 1, tiny, tiny and then 1, 1, 1, tiny, tiny
+    assert sum_terms(iter([(1, 1), (1, 1), tiny_pair, (1, 1)]), 10, 0, 3) == 2 + 2 * tiny
     with pytest.raises(TermCapExceeded):
-        sum_terms(iter([1, 1, 1, tiny, tiny]), 10, 0, 3)
+        sum_terms(iter([(1, 1), (1, 1), (1, 1), tiny_pair, (1, 1)]), 10, 0, 3)
 
 
 def test_lower_pole_rejected():
@@ -197,10 +235,7 @@ def test_partial_sums_bracket_once_alternating():
         upper = (F(1, 2),)
         lower = (F(1), F(3, 2))
         z = F(-(k**2), 4)
-        terms = []
-        gen = plain_terms(upper, lower, z)
-        for _ in range(200):
-            terms.append(next(gen))
+        terms = running_products(plain_terms(upper, lower, z), 200)
         limit = plain_sum_rational(upper, lower, z, 60)
         # find where strict alternation + decreasing magnitude sets in
         start = None
@@ -223,3 +258,122 @@ def test_partial_sums_bracket_once_alternating():
             for a, b in zip(lo_hi, lo_hi[1:])
         ]
         assert all(brackets)
+
+
+# -- the integer kernel against the reduced-Fraction reference -----------------
+
+#: Upper parameters: integers down to -6 terminate the series (P becomes 0).
+upper_params = st.fractions(min_value=-6, max_value=12, max_denominator=4)
+#: Lower parameters: never a nonpositive integer, but negative non-integers
+#: make ratio denominators negative, whose sign moves into p.
+lower_params = st.fractions(min_value=-6, max_value=12, max_denominator=4).filter(
+    lambda b: not (b.denominator == 1 and b <= 0)
+)
+
+
+def kernel_and_reference(upper, lower, z, first, start, precision, guard, cap):
+    """(value, items read) of the integer kernel and of the reference loop;
+    the value is the exception class when the cap is hit."""
+    results = []
+    for terms, total in (
+        (plain_terms, sum_terms), (fraction_terms, fraction_sum_terms)
+    ):
+        seen = []
+        try:
+            value = total(
+                counted(terms(upper, lower, z, first, start), seen), precision, guard, cap
+            )
+        except TermCapExceeded:
+            value = TermCapExceeded
+        results.append((value, len(seen)))
+    return results
+
+
+@given(
+    st.lists(upper_params, max_size=2),
+    st.lists(lower_params, min_size=1, max_size=3),
+    st.fractions(min_value=-40, max_value=40, max_denominator=9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.integers(0, 6),
+    st.integers(1, 30),
+    st.integers(0, 16),
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_kernel_equals_fraction_reference(
+    upper, lower, z, first, start, precision, guard
+):
+    upper, lower = tuple(upper), tuple(lower)
+    # a mid-series start never passes a lower parameter's zero
+    lower = tuple(b for b in lower if not (b.denominator == 1 and b + start <= 0))
+    cap = term_cap(precision)
+    new, ref = kernel_and_reference(upper, lower, z, first, start, precision, guard, cap)
+    assert new == ref
+
+
+@given(st.integers(0, 40), st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_ratio_pairs_have_positive_denominators(num, den):
+    b = -num - F(1, den + 1)  # negative, never an integer
+    for p, q in itertools.islice(plain_terms((F(1, 3),), (b, F(2)), F(-5, 3)), 60):
+        assert q > 0
+
+
+def test_integer_kernel_edge_cases():
+    cases = [
+        # z = 0: the first term and two zero terms
+        ((F(1, 2),), (F(1), F(3, 2)), F(0)),
+        # a terminating upper parameter -4: P is 0 from term 5 on
+        ((F(-4), F(1, 2)), (F(3, 2), F(2), F(5)), F(-9, 4)),
+        # negative non-integer lower parameters: ratios change sign
+        ((F(1, 2),), (F(-11, 2), F(-7, 3)), F(5, 4)),
+        ((), (F(-1, 2),), F(-3)),
+    ]
+    for upper, lower, z in cases:
+        for precision in (5, 50, 300):
+            new, ref = kernel_and_reference(upper, lower, z, F(1), 0, precision, 16, 10**4)
+            assert new == ref
+            assert new[0] == plain_sum_rational(upper, lower, z, precision)
+
+
+@pytest.mark.parametrize("n0", [1, 2, 5])
+def test_regularized_head_matches_fraction_reference(n0):
+    # lower parameter 1 - n0 vanishes the head; the sum starts at n0
+    upper = (F(1, 2), F(7, 3))
+    lower = (F(3, 2), F(1 - n0), F(4))
+    for z in (F(-1, 4), F(-49, 9), F(25, 16)):
+        for precision in (10, 120):
+            head = pochhammer(upper[0], n0) * pochhammer(upper[1], n0)
+            for b in lower:
+                head *= recip_gamma_exact(b + n0)[0]
+            head *= z**n0 / math.factorial(n0)
+            want = fraction_sum_terms(
+                fraction_terms(upper, lower, z, head, n0),
+                precision, 16, term_cap(precision) + 1,
+            )
+            assert regularized_sum_rational(upper, lower, z, precision) == (want, -1)
+
+
+@pytest.mark.parametrize("digits", [1, 2, 7, 33, 200])
+def test_a_tie_is_not_small(digits):
+    # 10^digits * |P| == max(|T|, Q) exactly, with precision + guard = digits;
+    # bit lengths cannot settle these, so the exact comparison decides
+    s = 10**digits
+    tail = [(1, 10 * s), (1, 1), (1, 1)]
+    ties = [
+        [(1, 1), (1, s - 1)],  # Q = s - 1, T = s: tie on T
+        [(1, 1), (-1, s)],  # Q = s, T = s - 1: tie on Q
+        [(s - 1, 1), (1, s - 1)],  # P/Q = (s-1)/(s-1) unreduced, T = s(s-1)
+    ]
+    for head in ties:
+        pairs = head + tail
+        # the tie is not small, so the sum stops only after the two small
+        # terms behind it: four items are read, not three
+        seen = []
+        got = sum_terms(counted(pairs, seen), digits, 0, 100)
+        assert len(seen) == 4
+        ref = fraction_sum_terms(running_products(iter(pairs), len(pairs)), digits, 0, 100)
+        assert got == ref
+    # one unit below a tie is small: 10^digits * 1 < s + 1 = max(|T|, Q)
+    seen = []
+    sum_terms(counted([(1, 1), (1, s), (1, 1), (7, 1)], seen), digits, 0, 100)
+    assert len(seen) == 3

@@ -11,7 +11,12 @@ import pytest
 
 from flbessel import legendre
 from flbessel.legendre import monomials
-from oracles import eval_P_rational, eval_P_via_2f1, leading_coefficient
+from oracles import (
+    eval_P_rational,
+    eval_P_via_2f1,
+    leading_coefficient,
+    monomial_coefficient,
+)
 
 F = Fraction
 
@@ -107,4 +112,17 @@ def test_monomials_on_a_cold_cache_needs_no_deep_recursion():
         sys.setrecursionlimit(limit)
         legendre._coeff_table.cache_clear()
     assert coeffs[300] == leading_coefficient(300)
+    assert sum(coeffs) == 1
+
+
+def test_monomials_match_closed_forms_at_degree_600():
+    # the integer Bonnet recurrence on 2^L P_L, from a cold cache, against
+    # the closed-form leading coefficient and the explicit sum for every slot
+    legendre._coeff_table.cache_clear()
+    try:
+        coeffs = monomials(600).coeffs
+    finally:
+        legendre._coeff_table.cache_clear()
+    assert coeffs[600] == leading_coefficient(600)
+    assert coeffs == tuple(monomial_coefficient(600, m) for m in range(601))
     assert sum(coeffs) == 1
