@@ -193,6 +193,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tol = _parse_rational(args.tol)
     plus = args.terms.startswith("+")
     base_terms = int(args.terms.lstrip("+"))
+    largest = h_hi + base_terms if plus else base_terms
+    if largest > series.TRUNCATION_CAP:
+        raise UsageError(
+            f"--terms gives {largest} terms at h={h_hi}; "
+            f"at most {series.TRUNCATION_CAP} are summed per identity"
+        )
     out_lines = []
     worst_fail = False
     for h in range(h_lo, h_hi + 1):
@@ -218,6 +224,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
     if args.table_digits < 1:
         raise UsageError("--table-digits must be positive")
     _check_digits(args.table_digits, "--table-digits")
+    if not 1 <= args.rows <= series.TRUNCATION_CAP:
+        raise UsageError(f"--rows must be between 1 and {series.TRUNCATION_CAP}")
     spec = sumverify.SumSpec(
         family="j0", h=0, k=Fraction(1), L_terms=args.rows,
         precision=max(args.table_digits + 4, 50),
@@ -372,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--h-range", required=True, help="A..B inclusive")
     v.add_argument("--k", default="1")
     v.add_argument("--terms", default="+80",
-                   help="'+N' means h+N terms, bare N is absolute")
+                   help="'+N' means h+N terms, bare N is absolute; at most "
+                        f"{series.TRUNCATION_CAP} terms per identity")
     v.add_argument("--tol", default="1e-33", help="relative tolerance")
     v.add_argument("--variant", choices=list(sumverify.VARIANTS),
                    default="pochhammer")
@@ -381,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table1",
                        help="convergence table of the constant-term partial sums")
-    t.add_argument("--rows", type=int, default=17)
+    t.add_argument("--rows", type=int, default=17,
+                   help=f"partial sums listed, 1 to {series.TRUNCATION_CAP}")
     t.add_argument("--table-digits", type=int, default=48,
                    help=f"digits per row, at most {MAX_DIGITS}")
     _common_options(t, top_level=False)

@@ -17,12 +17,20 @@ times k^(2h) (resp. k^(2h+1)):
       / (Gamma(L+3/2) ((L-1)/2-h)!)  *  bracket(L, h)
     = (-1)^h 2^(-2h-1) k^(2h+1) / (h! Gamma(h+2))
 
-The bracket is the monomial-extraction factor and exists in three
-algebraically identical dress codes (``pochhammer``, ``reflected``,
-``gammaform``); every term computes all three in exact rational arithmetic
-and refuses to proceed if they disagree.  The factorial in the denominator
-has a negative integer argument for the first h candidate terms, which is
-why those terms vanish identically.
+Each term is a_L * [x^(2h+N)] P_L (N = 0 for the even family, 1 for the
+odd one).  The coefficient a_L comes from the coefficient route of
+``series``, so this module does not restate its prefactor, and
+[x^(2h+N)] P_L = T / 2^L with the integer
+
+  T = (-1)^m (2L-2m)! / (m! (L-m)! (L-2m)!),   m = (L-N)/2 - h.
+
+The bracket is the monomial-extraction factor of the displays and exists in
+three algebraically identical dress codes (``pochhammer``, ``reflected``,
+``gammaform``).  Each term builds the one form its spec names, in exact
+rational arithmetic, and refuses to proceed unless
+bracket * (2L)! = T * m! * (L!)^2.  For the first h candidate terms m is
+negative (the factorial in the denominator has a negative argument), which
+is why those terms vanish identically.
 
 Everything is exact: each term is a rational number, each partial sum is a
 rational number, and the only rounding happens when results are rendered.
@@ -36,16 +44,15 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
-from .hypergeom import plain_sum_rational
 from .mpnum import BigReal, DEFAULT_GUARD_DIGITS, pochhammer
-from .series import reduced_parameters
+from .series import _coeff_rational
 
 FAMILIES = ("j0", "j1")
 VARIANTS = ("pochhammer", "reflected", "gammaform")
 
 
 class VariantMismatch(ArithmeticError):
-    """The three bracket forms disagreed on a term (identities violated)."""
+    """A bracket form disagreed with the Legendre monomial coefficient."""
 
 
 @dataclass(frozen=True)
@@ -82,9 +89,12 @@ class VerifyReport:
 
 @lru_cache(maxsize=None)
 def _f12(N: int, L: int, k: Fraction, precision: int, guard: int) -> Fraction:
-    """The reduced 1F2 of the order-N coefficient route at z = -k^2/4."""
-    z = -Fraction(k) ** 2 / 4
-    return plain_sum_rational(*reduced_parameters(L, N), z, precision, guard)
+    """a_L / 2^L for J_N(kx), N in {0, 1}: the reduced 1F2 coefficient route.
+
+    ``__wrapped__`` bypasses the coefficient cache of ``series``, which would
+    hold every a_L a second time next to this one.
+    """
+    return _coeff_rational.__wrapped__("J", L, N, k, precision, guard) / 2**L
 
 
 def _quotient(sign: int, upper: tuple, lower: tuple, m: int) -> Fraction:
@@ -105,84 +115,63 @@ def _quotient(sign: int, upper: tuple, lower: tuple, m: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _brackets(family: str, L: int, h: int, m: int) -> tuple[Fraction, Fraction, Fraction]:
-    """The three equivalent monomial-extraction factors, m >= 0.
+def _brackets(
+    family: str, L: int, h: int, m: int, variants: tuple[str, ...] = VARIANTS
+) -> tuple[Fraction, ...]:
+    """The monomial-extraction factors named in ``variants``, in that order.
 
-    In ``gammaform`` the powers of two of Gamma(h + L/2 + 1/2) / Gamma(L + 1/2)
-    cancel exactly, which leaves a ratio of factorials.
+    All three forms are equal for m >= 0.  In ``gammaform`` the powers of two
+    of Gamma(h + L/2 + 1/2) / Gamma(L + 1/2) cancel exactly, which leaves a
+    ratio of factorials.
     """
-    poch = _quotient(
-        1, (Fraction(1 - L, 2), Fraction(-L, 2)), (Fraction(1 - 2 * L, 2),), m
-    )
+    N = FAMILIES.index(family)
     sign = -1 if m % 2 else 1
     fact = math.factorial
-    if family == "j0":
-        reflected = _quotient(
-            sign, (Fraction(2 * h + 1, 2), h + 1), (Fraction(2 * h + L + 1, 2),), m
-        )
-        gammaform = Fraction(
-            sign * fact(L) ** 2 * fact(2 * h + L),
-            fact(2 * h) * fact(h + L // 2) * fact(2 * L),
-        )
-    else:
-        reflected = _quotient(
-            sign, (h + 1, Fraction(2 * h + 3, 2)), (Fraction(2 * h + L + 2, 2),), m
-        )
-        gammaform = Fraction(
-            sign * fact(L) ** 2 * fact(2 * h + L + 1),
-            fact(2 * h + 1) * fact((2 * h + L + 1) // 2) * fact(2 * L),
-        )
-    return poch, reflected, gammaform
+    out = []
+    for variant in variants:
+        if variant == "pochhammer":
+            out.append(_quotient(
+                1, (Fraction(1 - L, 2), Fraction(-L, 2)), (Fraction(1 - 2 * L, 2),), m
+            ))
+        elif variant == "reflected":
+            out.append(_quotient(
+                sign,
+                (Fraction(2 * h + N + 1, 2), Fraction(2 * h + N + 2, 2)),
+                (Fraction(2 * h + L + N + 1, 2),),
+                m,
+            ))
+        else:
+            out.append(Fraction(
+                sign * fact(L) ** 2 * fact(2 * h + L + N),
+                fact(2 * h + N) * fact((2 * h + L + N) // 2) * fact(2 * L),
+            ))
+    return tuple(out)
 
 
 def term_rational(
     spec: SumSpec, L: int, guard: int = DEFAULT_GUARD_DIGITS
 ) -> Fraction:
-    """Exact value of the series term at index L (zero for the vanished head)."""
-    h, k = spec.h, spec.k
-    if spec.family == "j0":
-        if L % 2:
-            raise ValueError("even family sums even L only")
-        m = L // 2 - h
-        if m < 0:
-            return Fraction(0)
-        phase = -1 if (L // 2) % 2 else 1
-        choose = math.comb(L, L // 2)
-        fval = _f12(0, L, k, spec.precision, guard)
-        mfact = math.factorial(m)
-    else:
-        if L % 2 == 0:
-            raise ValueError("odd family sums odd L only")
-        m = (L - 1) // 2 - h
-        if m < 0:
-            return Fraction(0)
-        phase = -1 if ((L - 1) // 2) % 2 else 1
-        choose = math.comb(L, (L - 1) // 2)
-        fval = _f12(1, L, k, spec.precision, guard)
-        mfact = math.factorial(m)
-
-    poch, reflected, gammaform = _brackets(spec.family, L, h, m)
-    if not (poch == reflected == gammaform):
-        worst = max(abs(poch - reflected), abs(poch - gammaform))
+    """Exact a_L * [x^(2h+N)] P_L at index L (zero for the vanished head)."""
+    N = FAMILIES.index(spec.family)
+    if L % 2 != N:
+        raise ValueError(f"the {spec.family} family sums L = {N} (mod 2) only")
+    h = spec.h
+    m = (L - N) // 2 - h
+    if m < 0:
+        return Fraction(0)
+    fact = math.factorial
+    # T = 2^L [x^(L-2m)] P_L, an integer
+    T = (-1 if m % 2 else 1) * math.comb(L, m) * math.comb(2 * L - 2 * m, L)
+    (bracket,) = _brackets(spec.family, L, h, m, (spec.variant,))
+    if bracket.numerator * fact(2 * L) != T * fact(m) * fact(L) ** 2 * bracket.denominator:
         raise VariantMismatch(
-            f"bracket forms disagree at L={L}, h={h} by {float(worst):.3g}"
+            f"{spec.variant} bracket disagrees with [x^{L - 2 * m}] P_{L} at h={h}"
         )
-    bracket = {"pochhammer": poch, "reflected": reflected, "gammaform": gammaform}[
-        spec.variant
-    ]
-
-    # sqrt(pi)/Gamma(L+3/2) = 1/gamma_half_exact(L+1) = 4^(L+1) (L+1)!/(2L+2)!,
-    # so the powers of two 2 (2L+1) 4^(L+1) / 2^(3L+2) leave 2 (2L+1) / 2^L.
-    pref = Fraction(
-        2 * phase * (2 * L + 1) * choose * math.comb(2 * L, L)
-        * math.factorial(L + 1) * k.numerator**L,
-        2**L * math.factorial(2 * L + 2) * mfact * k.denominator**L,
-    )
-    return pref * fval * bracket
+    return _f12(N, L, spec.k, spec.precision, guard) * T
 
 
 def _l_values(spec: SumSpec) -> range:
-    start = 0 if spec.family == "j0" else 1
+    start = FAMILIES.index(spec.family)
     return range(start, start + 2 * spec.L_terms, 2)
 
 

@@ -176,6 +176,13 @@ def test_usage_errors_exit_2(capsys):
     ("--digits", "20000", "verify", "--family", "j0", "--h-range", "0..0"),
     ("table1", "--table-digits", "10001"),
     ("table1", "--table-digits", "0"),
+    # more than series.TRUNCATION_CAP terms in some identity, or rows
+    ("verify", "--family", "j0", "--h-range", "0..0", "--terms", "3000"),
+    ("verify", "--family", "j1", "--h-range", "0..5", "--terms", "401"),
+    ("verify", "--family", "j0", "--h-range", "0..330", "--terms", "+71"),
+    ("table1", "--rows", "1500"),
+    ("table1", "--rows", "401"),
+    ("table1", "--rows", "0"),
 ])
 def test_out_of_range_input_exits_2_before_any_work(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -193,6 +200,17 @@ def test_precision_at_the_bound_is_accepted(capsys):
                        "--table-digits", str(MAX_DIGITS))
     assert code == 0
     assert len(out.split()) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "j0", "--h-range", "0..0", "--terms", "400"),
+    ("verify", "--family", "j1", "--h-range", "329..329", "--terms", "+71"),
+    ("table1", "--rows", "400"),
+])
+def test_term_and_row_counts_at_the_cap_are_accepted(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.count("\n") == (400 if argv[0] == "table1" else 1)
 
 
 def test_verify_at_k_zero(capsys):

@@ -8,8 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from flbessel.mpnum import BigReal
+from flbessel import sumverify
+from flbessel.cli import main
+from flbessel.hypergeom import plain_sum_rational
+from flbessel.legendre import monomials
+from flbessel.mpnum import DEFAULT_GUARD_DIGITS, BigReal
 from flbessel.powerprime import to_power_series
+from flbessel.series import _coeff_rational, reduced_parameters
 from flbessel.sumverify import (
     SumSpec,
     _brackets,
@@ -56,6 +61,53 @@ def test_bracket_variants_agree_for_every_L_up_to_200():
                 m = (L - off) // 2 - h
                 poch, refl, gamm = _brackets(fam, L, h, m)
                 assert poch == refl == gamm, (fam, L, h)
+
+
+@pytest.mark.parametrize("fam, h_hi, terms", [("j0", 42, 74), ("j1", 43, 78)])
+def test_bracket_variants_agree_on_the_benchmark_sweeps(fam, h_hi, terms):
+    # verify --h-range 0..h_hi --terms +terms reaches L = 230 (j0) and 241
+    # (j1); a term builds only the variant it is asked for
+    off = 1 if fam == "j1" else 0
+    for h in range(h_hi + 1):
+        for L in range(2 * h + off, off + 2 * (h + terms), 2):
+            m = (L - off) // 2 - h
+            poch, refl, gamm = _brackets(fam, L, h, m)
+            assert poch == refl == gamm, (fam, L, h)
+            assert _brackets(fam, L, h, m, ("reflected",)) == (refl,)
+
+
+@pytest.mark.parametrize("k", [F(1, 2), F(3, 4), F(1), F(3, 2), F(7, 3)])
+def test_term_is_the_coefficient_times_the_bonnet_monomial(k):
+    # independent witness of the fold: the coefficient of x^(2h+N) in P_L
+    # from the Bonnet-recurrence table, not from the closed form T
+    table = [monomials(L).coeffs for L in range(161)]
+    for fam, N in (("j0", 0), ("j1", 1)):
+        for h in range(21):
+            sp = spec(family=fam, h=h, k=k, terms=h + 1)
+            for L in range(2 * h + N, 161, 2):
+                a_L = _coeff_rational("J", L, N, k, 50, DEFAULT_GUARD_DIGITS)
+                assert term_rational(sp, L) == a_L * table[L][2 * h + N], (fam, h, L)
+
+
+@pytest.mark.parametrize("family", ["j0", "j1"])
+@pytest.mark.parametrize("variant", ["pochhammer", "reflected", "gammaform"])
+def test_a_bracket_off_by_one_part_in_1e60_stops_verify(
+    monkeypatch, capsys, family, variant
+):
+    real = sumverify._brackets
+
+    def perturbed(fam, L, h, m, variants=sumverify.VARIANTS):
+        # exact up to L = 20, so the check of every term is what fires
+        scale = 1 + F(1, 10**60) if L > 20 else 1
+        return tuple(b * scale for b in real(fam, L, h, m, variants))
+
+    monkeypatch.setattr(sumverify, "_brackets", perturbed)
+    code = main(["verify", "--family", family, "--h-range", "0..2",
+                 "--terms", "+15", "--variant", variant])
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.out == ""
+    assert out.err.startswith("computation failed:")
 
 
 def test_first_h_terms_vanish():
@@ -140,9 +192,7 @@ def test_even_only_display_transcribed_literally_is_half_the_term():
                 * gamma_half_exact(L + 1)
             )
         )
-        from flbessel.sumverify import _f12
-
-        literal *= _f12(0, L, F(1), 50, 16)
+        literal *= plain_sum_rational(*reduced_parameters(L, 0), F(-1, 4), 50, 16)
         assert 2 * literal == term_rational(sp, L)
 
 
