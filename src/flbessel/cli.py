@@ -8,6 +8,7 @@ Output is deterministic for a given flag set; JSON output is byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -33,6 +34,15 @@ _COMPUTATION_ERRORS = (
 #: Largest accepted ``--digits`` and ``table1 --table-digits``.  Exact sums
 #: grow with the precision, so a larger request would run for minutes.
 MAX_DIGITS = 10_000
+
+
+#: Largest total of terms one ``verify`` command sums over all of its
+#: identities.  The j1 sweep over h 0..43 with +78 terms sums 4378; 10 000
+#: terms take about 0.5 s in short identities and 5 s at 400 terms each.
+MAX_VERIFY_TERMS = 10_000
+
+#: Most grid points ``bench --grid`` accepts; 2001 points take about 0.25 s.
+MAX_GRID = 2001
 
 
 class UsageError(ValueError):
@@ -199,6 +209,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"--terms gives {largest} terms at h={h_hi}; "
             f"at most {series.TRUNCATION_CAP} are summed per identity"
         )
+    count = h_hi - h_lo + 1
+    total = count * base_terms + (count * (h_lo + h_hi) // 2 if plus else 0)
+    if total > MAX_VERIFY_TERMS:
+        raise UsageError(
+            f"--h-range and --terms give {total} terms in all; "
+            f"at most {MAX_VERIFY_TERMS} are summed per command"
+        )
     out_lines = []
     worst_fail = False
     for h in range(h_lo, h_hi + 1):
@@ -242,6 +259,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if not 2 <= args.grid <= MAX_GRID:
+        raise UsageError(f"--grid must be between 2 and {MAX_GRID}")
     which = args.which.upper()
     kind, order = which[0], int(which[1])
     if args.range:
@@ -331,7 +350,9 @@ def _common_options(parser: argparse.ArgumentParser, top_level: bool) -> None:
                         help="output path, '-' for stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call."""
     ap = argparse.ArgumentParser(
         prog="flbessel",
         description="Legendre-basis expansions of Bessel functions: "
@@ -381,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k", default="1")
     v.add_argument("--terms", default="+80",
                    help="'+N' means h+N terms, bare N is absolute; at most "
-                        f"{series.TRUNCATION_CAP} terms per identity")
+                        f"{series.TRUNCATION_CAP} terms per identity and "
+                        f"{MAX_VERIFY_TERMS} over the whole h range")
     v.add_argument("--tol", default="1e-33", help="relative tolerance")
     v.add_argument("--variant", choices=list(sumverify.VARIANTS),
                    default="pochhammer")
@@ -401,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare a short truncation against the classic fits")
     b.add_argument("--which", choices=["j0", "j1", "i0", "i1"], required=True)
     b.add_argument("--range", help="LO..HI (default: the fit's nominal range)")
-    b.add_argument("--grid", type=int, default=121)
+    b.add_argument("--grid", type=int, default=121,
+                   help=f"grid points, 2 to {MAX_GRID}")
     _common_options(b, top_level=False)
     b.set_defaults(func=cmd_bench)
 

@@ -21,10 +21,12 @@ the way (the idea behind binary splitting, Haible & Papanikolaou 1998, used
 here term by term); ``Fraction(T, Q)`` at the end is the one reduction.
 
 Termination: stop once two consecutive terms after the first are each below
-10^-(precision + guard) times the current partial-sum magnitude (floored at
-one), decided exactly on the integers.  A single small term is not trusted
-because the coefficient-family series alternate in sign and an individual
-term can be accidentally tiny.
+10^-(precision + guard) times the current partial-sum magnitude, decided
+exactly on the integers.  The rule is relative to |S| with no floor, so a
+sum far below one (the regularized 2F3 of a high order) still gets its
+precision + guard digits; a zero term is always small.  A single small term
+is not trusted because the coefficient-family series alternate in sign and
+an individual term can be accidentally tiny.
 
 The regularized variant divides each lower parameter's contribution by a
 gamma function instead of a Pochhammer, which keeps the sum finite when a
@@ -113,8 +115,8 @@ def sum_terms(
     end is the only reduction.
 
     The first term is always taken.  The sum stops after two later terms in
-    a row fall below 10^-(precision + guard) * max(|S|, 1), that is
-    10^(precision + guard) |P| < max(|T|, Q); a term past index ``cap``
+    a row fall below 10^-(precision + guard) * |S|, that is
+    10^(precision + guard) |P| < |T|, or are zero; a term past index ``cap``
     (counting the first as 0) raises :class:`TermCapExceeded`.
     """
     scale = 10 ** (precision + guard)
@@ -129,14 +131,15 @@ def sum_terms(
         P *= p
         Q *= q
         T = T * q + P
-        small_run = small_run + 1 if _is_small(P, T, Q, scale, scale_bits) else 0
+        small_run = small_run + 1 if _is_small(P, T, scale, scale_bits) else 0
         if small_run == 2:
             break
     return Fraction(T, Q)
 
 
-def _is_small(P: int, T: int, Q: int, scale: int, scale_bits: int) -> bool:
-    """Exactly whether scale * |P| < max(|T|, Q).
+def _is_small(P: int, T: int, scale: int, scale_bits: int) -> bool:
+    """Exactly whether P == 0 or scale * |P| < |T|: the term P/Q is below
+    10^-(precision + guard) of the partial sum T/Q (Q cancels).
 
     The bit length of scale * |P| is the sum of the two bit lengths or one
     less, so bit lengths settle every case but a near tie, which is compared
@@ -144,7 +147,7 @@ def _is_small(P: int, T: int, Q: int, scale: int, scale_bits: int) -> bool:
     """
     if P == 0:
         return True
-    bound = max(abs(T), Q)
+    bound = abs(T)
     gap = abs(P).bit_length() + scale_bits - bound.bit_length()
     if gap < 0:
         return True

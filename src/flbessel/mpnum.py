@@ -64,6 +64,10 @@ def _round_sig(value: Decimal, digits: int) -> Decimal:
         return +value
 
 
+#: ``bytes.translate`` table taking the digit values 0-9 to ASCII digits.
+_DIGIT_TEXT = bytes(range(48, 58)).ljust(256, b"?")
+
+
 def render_significant(value: Decimal, digits: int) -> str:
     """Render ``value`` with exactly ``digits`` significant digits.
 
@@ -77,7 +81,7 @@ def render_significant(value: Decimal, digits: int) -> str:
     if r.is_zero():
         return "0"
     sign, ds, _ = r.as_tuple()
-    mant = "".join(map(str, ds)).ljust(digits, "0")
+    mant = bytes(ds).translate(_DIGIT_TEXT).decode("ascii").ljust(digits, "0")
     adj = r.adjusted()
     prefix = "-" if sign else ""
     if -5 <= adj < digits:

@@ -269,6 +269,11 @@ def eval_series(
 ) -> BigReal:
     """Sum a_L P_L(x) with exact rational P_L values.
 
+    With x = a/b, P_L(x) = U_L / (L! b^L) for the integers of the scaled
+    Bonnet recurrence U_L = (2L-1) a U_{L-1} - (L-1)^2 b^2 U_{L-2}; the
+    ``Decimal`` quotient of those two integers is the correctly rounded
+    value with the same exponent as that of the reduced fraction.
+
     Arguments outside [-1, 1] are fine; the polynomial growth there is the
     series' own problem and is what ``accuracy_scan`` quantifies.  Asking
     for more digits than the series carries raises
@@ -285,18 +290,18 @@ def eval_series(
     lmax = s.l_max
     coeffs = dict(s.entries)
 
+    a, b = x.numerator, x.denominator
+    b2 = b * b
     total = Decimal(0)
     with localcontext() as ctx:
         ctx.prec = p + guard
-        pm1, pl = Fraction(1), Fraction(x)
+        u_prev, u, den = 0, 1, 1  # U_{L-1}, U_L and L! b^L at L = 0
         for L in range(0, lmax + 1):
-            pval = pm1 if L == 0 else (pl if L == 1 else None)
-            if pval is None:
-                pm1, pl = pl, (Fraction(2 * L - 1) * x * pl - (L - 1) * pm1) / L
-                pval = pl
+            if L:
+                u_prev, u = u, (2 * L - 1) * a * u - (L - 1) ** 2 * b2 * u_prev
+                den *= L * b
             if L in coeffs:
-                pdec = Decimal(pval.numerator) / Decimal(pval.denominator)
-                total += coeffs[L].value * pdec
+                total += coeffs[L].value * (Decimal(u) / Decimal(den))
     return BigReal(total, p)
 
 
@@ -384,6 +389,9 @@ def coeff_oracle(
     return BigReal.from_fraction(Fraction(2 * L + 1, 2) * total, precision)
 
 
+#: Every published fit coefficient is a multiple of 10^-8.
+_FIT_SCALE = 10**8
+
 #: Coefficients of the classic least-maximum polynomial fits (E. E. Allen),
 #: in the scaled variable t = x/3 (J forms) or t = x/3.75 (I forms).  J1 and
 #: I1 list x^-1 J1 and x^-1 I1.
@@ -402,6 +410,14 @@ _ALLEN: dict[str, tuple[Fraction, tuple[Fraction, ...]]] = {
         "0.02658733", "0.00301532", "0.00032411"))),
 }
 
+#: Each fit as (scale numerator, scale denominator, coefficients times
+#: 10^8, lowest power first), so that ``eval_allen`` runs in integers.
+_ALLEN_INT = {
+    which: (scale.numerator, scale.denominator,
+            tuple(int(c * _FIT_SCALE) for c in coeffs))
+    for which, (scale, coeffs) in _ALLEN.items()
+}
+
 #: Nominal validity range of each fit (|x| bound).
 ALLEN_RANGE = {"J0": Fraction(3), "J1": Fraction(3),
                "I0": Fraction(15, 4), "I1": Fraction(15, 4)}
@@ -418,15 +434,21 @@ def eval_allen(
     """
     if which not in _ALLEN:
         raise ValueError(f"unknown fit {which!r}; expected one of {sorted(_ALLEN)}")
-    scale, coeffs = _ALLEN[which]
+    s_num, s_den, coeffs = _ALLEN_INT[which]
     q = x.to_fraction() if isinstance(x, BigReal) else Fraction(x)
-    t2 = (q / scale) ** 2
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * t2 + c
+    # t^2 = u/v with t = q/scale; Horner over the integer coefficients C_i
+    # gives H = sum C_i u^i v^(6-i), and the fit is H / (10^8 v^6)
+    u = (q.numerator * s_den) ** 2
+    v = (q.denominator * s_num) ** 2
+    total, v_pow = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        v_pow *= v
+        total = total * u + c * v_pow
+    den = _FIT_SCALE * v_pow
     if which in ("J1", "I1"):
-        total *= q
-    return BigReal.from_fraction(total, precision)
+        total *= q.numerator
+        den *= q.denominator
+    return BigReal.from_fraction(Fraction(total, den), precision)
 
 
 #: Significant digits of a fit's error report; the fits' own coefficients

@@ -3,8 +3,10 @@
 Each one reaches its value by a different route from the package code it
 witnesses: first-principles Pochhammer products instead of the term
 recurrence, closed forms instead of the Bonnet recurrence, the reflection
-formula instead of the rising product, reduced ``Fraction`` terms instead of
-unreduced integer ratios.  None of them is on a runtime path.
+formula instead of the rising product, reduced ``Fraction`` terms,
+Legendre values and fit polynomials instead of unreduced integers, joined
+``str`` digits instead of a translated byte string.  None of them is on a
+runtime path.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from flbessel.hypergeom import TermCapExceeded
-from flbessel.mpnum import DEFAULT_GUARD_DIGITS, BigReal, pochhammer
+from flbessel.mpnum import DEFAULT_GUARD_DIGITS, BigReal, _round_sig, pochhammer
 from flbessel.powerprime import PowerSeries
+from flbessel.series import _ALLEN, FLSeries
 from flbessel.sumverify import SumSpec, partial_sums_rational
 
 
@@ -68,8 +71,8 @@ def fraction_sum_terms(terms, precision: int, guard: int, cap: int) -> Fraction:
     """The two-small-terms sum on reduced ``Fraction`` terms and partial sums.
 
     The loop that ``hypergeom.sum_terms`` replaced: the first term is always
-    taken, the sum stops after two later terms in a row fall below
-    10^-(precision + guard) * max(|S|, 1), and a term past index ``cap``
+    taken, the sum stops after two later terms in a row are zero or fall
+    below 10^-(precision + guard) * |S|, and a term past index ``cap``
     raises ``TermCapExceeded``.
     """
     floor = Fraction(1, 10 ** (precision + guard))
@@ -80,7 +83,8 @@ def fraction_sum_terms(terms, precision: int, guard: int, cap: int) -> Fraction:
             raise TermCapExceeded(f"no convergence within {cap} terms")
         total += term
         if n > 0:
-            small_run = small_run + 1 if abs(term) < floor * max(abs(total), 1) else 0
+            small = term == 0 or abs(term) < floor * abs(total)
+            small_run = small_run + 1 if small else 0
             if small_run == 2:
                 return total
     return total
@@ -113,6 +117,67 @@ def eval_P_rational(L: int, x: Fraction) -> Fraction:
     for n in range(1, L):
         pm1, p = p, (Fraction(2 * n + 1) * x * p - n * pm1) / (n + 1)
     return p
+
+
+def fraction_eval_series(
+    s: FLSeries, x: Fraction | int, precision: int, guard: int = DEFAULT_GUARD_DIGITS
+) -> BigReal:
+    """Sum a_L P_L(x) with P_L(x) from the reduced-``Fraction`` Bonnet loop.
+
+    The loop that ``series.eval_series`` replaced with the integer
+    recurrence; the ``Decimal`` accumulation is the same.
+    """
+    x = Fraction(x)
+    coeffs = dict(s.entries)
+    total = Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = precision + guard
+        pm1, pl = Fraction(1), x
+        for L in range(0, s.l_max + 1):
+            pval = pm1 if L == 0 else (pl if L == 1 else None)
+            if pval is None:
+                pm1, pl = pl, (Fraction(2 * L - 1) * x * pl - (L - 1) * pm1) / L
+                pval = pl
+            if L in coeffs:
+                pdec = Decimal(pval.numerator) / Decimal(pval.denominator)
+                total += coeffs[L].value * pdec
+    return BigReal(total, precision)
+
+
+def fraction_eval_allen(which: str, x: Fraction | int, precision: int) -> BigReal:
+    """A published fit by ``Fraction`` Horner in t^2 = (x/scale)^2, the loop
+    ``series.eval_allen`` replaced with integer Horner."""
+    scale, coeffs = _ALLEN[which]
+    q = Fraction(x)
+    t2 = (q / scale) ** 2
+    total = Fraction(0)
+    for c in reversed(coeffs):
+        total = total * t2 + c
+    if which in ("J1", "I1"):
+        total *= q
+    return BigReal.from_fraction(total, precision)
+
+
+def join_render_significant(value: Decimal, digits: int) -> str:
+    """``mpnum.render_significant`` with the digit string joined from
+    ``str`` of each digit, as before it was formed by ``bytes.translate``."""
+    r = _round_sig(value, digits)
+    if r.is_zero():
+        return "0"
+    sign, ds, _ = r.as_tuple()
+    mant = "".join(map(str, ds)).ljust(digits, "0")
+    adj = r.adjusted()
+    prefix = "-" if sign else ""
+    if -5 <= adj < digits:
+        if adj >= 0:
+            int_part = mant[: adj + 1]
+            frac_part = mant[adj + 1 :]
+            body = int_part + ("." + frac_part if frac_part else "")
+        else:
+            body = "0." + "0" * (-adj - 1) + mant
+        return prefix + body
+    head = mant[0] + ("." + mant[1:] if len(mant) > 1 else "")
+    return f"{prefix}{head}e{adj}"
 
 
 def eval_P_via_2f1(L: int, x: Fraction) -> Fraction:

@@ -7,7 +7,7 @@ from decimal import Decimal
 
 import pytest
 
-from flbessel.cli import MAX_DIGITS, main
+from flbessel.cli import MAX_DIGITS, MAX_GRID, MAX_VERIFY_TERMS, build_parser, main
 from refdata import DATA, golden, table1_rows, ulp_of
 
 #: bench, power --factorize and verify outputs, byte for byte, recorded
@@ -183,6 +183,15 @@ def test_usage_errors_exit_2(capsys):
     ("table1", "--rows", "1500"),
     ("table1", "--rows", "401"),
     ("table1", "--rows", "0"),
+    # more than MAX_VERIFY_TERMS over all identities, each within the cap
+    ("verify", "--family", "j0", "--h-range", "0..399", "--terms", "400"),
+    ("verify", "--family", "j1", "--h-range", "0..200", "--terms", "+51"),
+    ("verify", "--family", "j0", "--h-range", "0..25", "--terms", "385"),
+    # bench grids outside 2..MAX_GRID
+    ("bench", "--which", "j0", "--grid", "20000"),
+    ("bench", "--which", "i1", "--grid", "2002"),
+    ("bench", "--which", "j1", "--grid", "1"),
+    ("bench", "--which", "i0", "--grid", "-5"),
 ])
 def test_out_of_range_input_exits_2_before_any_work(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -211,6 +220,39 @@ def test_term_and_row_counts_at_the_cap_are_accepted(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.count("\n") == (400 if argv[0] == "table1" else 1)
+
+
+def test_totals_at_the_command_bounds_are_accepted(capsys):
+    # 125 identities of h + 18 terms, h = 0..124: 125 * 18 + 7750 = 10 000
+    assert MAX_VERIFY_TERMS == 10_000
+    code, out, _ = run(capsys, "verify", "--family", "j1", "--h-range", "0..124",
+                       "--terms", "+18", "--tol", "1")
+    assert code == 0
+    assert out.count("\n") == 125
+    code, out, _ = run(capsys, "--digits", "8", "bench", "--which", "j0",
+                       "--grid", str(MAX_GRID))
+    assert code == 0
+    code, out, _ = run(capsys, "--digits", "8", "bench", "--which", "j0", "--grid", "2")
+    assert code == 0 and "at x = -3" in out
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    # the parser is built once per process; options given to one call must
+    # not leak into the next
+    a = ("eval", "J", "0", "1", "3/2", "--lmax", "20")
+    first = run(capsys, *a)
+    assert first[0] == 0
+    out_file = tmp_path / "b.json"
+    assert run(capsys, "--format", "json", "--out", str(out_file), "--digits", "30",
+               "coeffs", "I", "1", "1", "--lmax", "5")[:2] == (0, "")
+    assert '"precision":30' in out_file.read_text()
+    assert run(capsys, "bench", "--which", "j0", "--grid", "0")[0] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "J", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *a) == first
+    assert build_parser() is build_parser()
 
 
 def test_verify_at_k_zero(capsys):

@@ -137,6 +137,17 @@ def test_sum_terms_stopping_rule_and_cap():
         sum_terms(iter([(1, 1), (1, 1), (1, 1), tiny_pair, (1, 1)]), 10, 0, 3)
 
 
+def test_a_sum_far_below_one_stops_relative_to_itself():
+    # terms 1e-40, 1e-52, 1e-64, 1e-76, ... at precision + guard = 20: 1e-52
+    # is 1e-12 of the sum, so it is not small although it is below 1e-20;
+    # 1e-64 and 1e-76 are, and the sum stops after reading four items
+    pairs = [(1, 10**40)] + [(1, 10**12)] * 6
+    seen = []
+    got = sum_terms(counted(pairs, seen), 10, 10, 100)
+    assert len(seen) == 4
+    assert got == sum(F(1, 10 ** (40 + 12 * j)) for j in range(4))
+
+
 def test_lower_pole_rejected():
     with pytest.raises(LowerParamPole):
         plain([F(1, 2)], [0, F(3, 2)], F(-1, 4), 20)
@@ -355,13 +366,14 @@ def test_regularized_head_matches_fraction_reference(n0):
 
 @pytest.mark.parametrize("digits", [1, 2, 7, 33, 200])
 def test_a_tie_is_not_small(digits):
-    # 10^digits * |P| == max(|T|, Q) exactly, with precision + guard = digits;
-    # bit lengths cannot settle these, so the exact comparison decides
+    # 10^digits * |P| == |T| exactly, with precision + guard = digits; bit
+    # lengths cannot settle these, so the exact comparison decides
     s = 10**digits
     tail = [(1, 10 * s), (1, 1), (1, 1)]
     ties = [
         [(1, 1), (1, s - 1)],  # Q = s - 1, T = s: tie on T
-        [(1, 1), (-1, s)],  # Q = s, T = s - 1: tie on Q
+        [(-1, 1), (1, s - 1)],  # Q = s - 1, T = -s: tie on a negative T
+        [(1, 1), (-1, s)],  # Q = s, T = s - 1: a tie on Q is not small either
         [(s - 1, 1), (1, s - 1)],  # P/Q = (s-1)/(s-1) unreduced, T = s(s-1)
     ]
     for head in ties:
@@ -373,7 +385,7 @@ def test_a_tie_is_not_small(digits):
         assert len(seen) == 4
         ref = fraction_sum_terms(running_products(iter(pairs), len(pairs)), digits, 0, 100)
         assert got == ref
-    # one unit below a tie is small: 10^digits * 1 < s + 1 = max(|T|, Q)
+    # one unit below a tie is small: 10^digits * 1 < s + 1 = |T|
     seen = []
     sum_terms(counted([(1, 1), (1, s), (1, 1), (7, 1)], seen), digits, 0, 100)
     assert len(seen) == 3

@@ -20,8 +20,9 @@ from flbessel.mpnum import (
     gamma_half_exact,
     pochhammer,
     primes_up_to,
+    render_significant,
 )
-from oracles import pochhammer_reflect
+from oracles import join_render_significant, pochhammer_reflect
 
 
 # -- BigReal -----------------------------------------------------------------
@@ -54,6 +55,36 @@ def test_bigreal_determinism():
 def test_bigreal_parse_render_identity(num, den, prec):
     x = BigReal.from_fraction(Fraction(num, den), prec)
     assert BigReal.parse(str(x), prec) == x
+
+
+#: Decimals with 1 to 2500 digits, either sign, trailing zeros appended
+#: and exponents from -400 to +400, plus both zeros.
+rendered_values = st.one_of(
+    st.sampled_from([Decimal(0), Decimal("-0"), Decimal("0E+7"), Decimal("-0E-12")]),
+    st.builds(
+        lambda sign, coeff, zeros, exp: Decimal(
+            (sign, tuple(map(int, str(coeff))) + (0,) * zeros, exp)
+        ),
+        st.integers(0, 1),
+        st.one_of(st.integers(1, 10**40), st.integers(1, 10**2500)),
+        st.integers(0, 30),
+        st.integers(-400, 400),
+    ),
+)
+
+
+@given(rendered_values, st.integers(1, 2500))
+@settings(max_examples=400, deadline=None)
+def test_render_significant_equals_joined_digits(value, digits):
+    assert render_significant(value, digits) == join_render_significant(value, digits)
+
+
+def test_render_significant_edge_layouts():
+    cases = [Decimal("1e-5"), Decimal("-9.99999e-6"), Decimal("1200"),
+             Decimal("-123.4500"), Decimal(10) ** 2499, Decimal("-5e400")]
+    for value in cases:
+        for digits in (1, 2, 4, 2500):
+            assert render_significant(value, digits) == join_render_significant(value, digits)
 
 
 def _half_even(q: Fraction, digits: int) -> Decimal:

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flbessel import series
+from flbessel.mpnum import BigReal
 from flbessel.series import (
     DigitsExceedPrecision,
     TruncationCapExceeded,
@@ -24,6 +28,7 @@ from flbessel.series import (
     _phase_and_argument,
 )
 from flbessel.series import FLSeries
+from oracles import fraction_eval_allen, fraction_eval_series
 from refdata import TRUE_VALUES
 
 F = Fraction
@@ -35,6 +40,27 @@ def test_coefficient_spot_values():
     assert str(coeff_a(1, 1, 1, 34)) == "0.4635981705953810635941110039338702"
     assert str(coeff_a_modified(0, 0, 1, 34)) == "1.086521097023589815837941923492506"
     assert str(coeff_a_modified(3, 1, 1, 34)) == "0.02618069164825977449795296407260333"
+
+
+def test_high_order_coefficient_earns_every_digit():
+    # L = N = 40: the regularized 2F3 sum is far below one, and a stop
+    # floored at one ended it with 5 correct digits; mpmath's hyper closed
+    # form at 80 digits gives these 50
+    assert str(coeff_a(40, 40, 1, 50)) == (
+        "1.0691074194105541917843716029014042364485821763258e-71"
+    )
+
+
+@pytest.mark.parametrize("N", [2, 5, 12])
+@pytest.mark.parametrize("kind", ["J", "I"])
+def test_coefficients_sum_to_the_value_at_one(kind, N):
+    # P_L(1) = 1, so sum_L a_L = J_N(k) (or I_N(k)); at k = 1 the terms past
+    # L = 80 are far below 1e-70 of it
+    total = sum(
+        series._coeff_rational(kind, L, N, F(1), 50, 16) for L in range(81)
+    )
+    ref = maclaurin_ref(kind, N, 1, 1, 90).to_fraction()
+    assert abs(total - ref) <= abs(ref) * F(1, 10**70)
 
 
 def test_parity_gate_gives_exact_zero():
@@ -198,3 +224,55 @@ def test_accuracy_scan_basics(j0_42):
         accuracy_scan(j0_42, -1, 1, 1)
     with pytest.raises(ValueError):
         accuracy_scan(j0_42, -1, 1, 5, ("K0",))
+
+
+# -- integer kernels against the Fraction references ---------------------------
+
+
+@lru_cache(maxsize=None)
+def _series_to_60(kind: str, N: int, k: Fraction) -> FLSeries:
+    return build_series(kind, N, k, l_max=60, precision=30)
+
+
+def _same_decimal(got: BigReal, want: BigReal) -> bool:
+    """Equal digits, exponent and precision, not just equal value."""
+    return got.precision == want.precision and got.value.as_tuple() == want.value.as_tuple()
+
+
+#: Arguments: 0, the ends +-1, inside and outside [-1, 1], plain integers,
+#: and fractions given by a numerator and denominator with a common factor,
+#: as the command line's p/q parser receives them.
+eval_points = st.one_of(
+    st.sampled_from([0, 1, -1, F(1), F(-1)]),
+    st.fractions(min_value=-1, max_value=1, max_denominator=60),
+    st.fractions(min_value=-9, max_value=9, max_denominator=16).filter(
+        lambda x: abs(x) > 1
+    ),
+    st.integers(-6, 6),
+    st.builds(lambda a, b, g: F(a * g, b * g), st.integers(-50, 50),
+              st.integers(1, 40), st.integers(2, 12)),
+)
+
+
+@given(st.sampled_from("JI"), st.integers(0, 4), st.sampled_from([F(1), F(7, 4)]),
+       st.integers(-1, 60), eval_points, st.integers(1, 30))
+@settings(max_examples=300, deadline=None)
+def test_eval_series_equals_fraction_bonnet(kind, N, k, l_max, x, precision):
+    full = _series_to_60(kind, N, k)
+    s = FLSeries(kind, N, k, tuple(e for e in full.entries if e[0] <= l_max), 30)
+    got = eval_series(s, x, precision)
+    assert _same_decimal(got, fraction_eval_series(s, x, precision))
+
+
+@given(st.sampled_from(sorted(series.ALLEN_RANGE)),
+       st.one_of(st.sampled_from([0, 3, -3, F(15, 4), F(-15, 4)]),
+                 st.fractions(min_value=-40, max_value=40, max_denominator=10**6),
+                 st.integers(-10**6, 10**6)),
+       st.integers(1, 80))
+@settings(max_examples=400, deadline=None)
+def test_eval_allen_equals_fraction_horner(which, x, precision):
+    got = eval_allen(which, x, precision)
+    assert _same_decimal(got, fraction_eval_allen(which, x, precision))
+    as_big = BigReal.from_fraction(F(x), 12)
+    assert _same_decimal(eval_allen(which, as_big, precision),
+                         fraction_eval_allen(which, as_big.to_fraction(), precision))
