@@ -34,7 +34,6 @@ from .series import (
     build_series,
     coeff_a,
     coeff_a_modified,
-    coeff_oracle,
     eval_allen,
     eval_series,
     maclaurin_ref,
@@ -91,7 +90,6 @@ __all__ = [
     "certify_prime_structure",
     "coeff_a",
     "coeff_a_modified",
-    "coeff_oracle",
     "emit_json",
     "emit_legendre_code",
     "emit_power_code",

@@ -37,9 +37,15 @@ MAX_DIGITS = 10_000
 
 
 #: Largest total of terms one ``verify`` command sums over all of its
-#: identities.  The j1 sweep over h 0..43 with +78 terms sums 4378; 10 000
-#: terms take about 0.5 s in short identities and 5 s at 400 terms each.
+#: identities.  The j1 sweep over h 0..43 with +78 terms sums 4378.
 MAX_VERIFY_TERMS = 10_000
+
+#: Largest weight of one ``verify`` command: the sum over its identities of
+#: the square of each one's term count, since a term costs more the higher
+#: its degree L.  The j1 sweep over h 0..43 with +78 terms weighs 442 706
+#: (0.25 s); h 0..24 with 400 terms each weighs 4 000 000 and took 5 s; the
+#: heaviest admitted commands, six 400-term identities, take about 1 s.
+MAX_VERIFY_WEIGHT = 1_000_000
 
 #: Most grid points ``bench --grid`` accepts; 2001 points take about 0.25 s.
 MAX_GRID = 2001
@@ -203,7 +209,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tol = _parse_rational(args.tol)
     plus = args.terms.startswith("+")
     base_terms = int(args.terms.lstrip("+"))
-    largest = h_hi + base_terms if plus else base_terms
+    if base_terms < 1:
+        raise UsageError("--terms must be at least 1")
+
+    def terms_at(h: int) -> int:
+        return h + base_terms if plus else base_terms
+
+    largest = terms_at(h_hi)
     if largest > series.TRUNCATION_CAP:
         raise UsageError(
             f"--terms gives {largest} terms at h={h_hi}; "
@@ -216,10 +228,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"--h-range and --terms give {total} terms in all; "
             f"at most {MAX_VERIFY_TERMS} are summed per command"
         )
+    weight = sum(terms_at(h) ** 2 for h in range(h_lo, h_hi + 1))
+    if weight > MAX_VERIFY_WEIGHT:
+        raise UsageError(
+            f"--h-range and --terms weigh {weight} (each identity's terms, "
+            f"squared, summed); at most {MAX_VERIFY_WEIGHT} per command"
+        )
     out_lines = []
     worst_fail = False
     for h in range(h_lo, h_hi + 1):
-        terms = (h + base_terms) if plus else base_terms
+        terms = terms_at(h)
         spec = sumverify.SumSpec(
             family=args.family, h=h, k=k, L_terms=terms,
             precision=args.digits, variant=args.variant,
@@ -402,8 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k", default="1")
     v.add_argument("--terms", default="+80",
                    help="'+N' means h+N terms, bare N is absolute; at most "
-                        f"{series.TRUNCATION_CAP} terms per identity and "
-                        f"{MAX_VERIFY_TERMS} over the whole h range")
+                        f"{series.TRUNCATION_CAP} terms per identity, "
+                        f"{MAX_VERIFY_TERMS} over the whole h range, and "
+                        f"{MAX_VERIFY_WEIGHT} for the sum of each "
+                        "identity's terms squared")
     v.add_argument("--tol", default="1e-33", help="relative tolerance")
     v.add_argument("--variant", choices=list(sumverify.VARIANTS),
                    default="pochhammer")

@@ -10,8 +10,9 @@ integers:
 
     (L+1) Q_{L+1}(x) = 2 (2L+1) x Q_L(x) - 4L Q_{L-1}(x),
 
-where the division by L+1 is exact, so no gcd is taken until the
-coefficients of one P_L are handed out as fractions.
+where the division by L+1 is exact, so no gcd is taken at all: callers
+fold the integer rows directly, and ``LegendreMonomials.coeffs`` hands out
+fractions only on request.
 """
 
 from __future__ import annotations
@@ -23,10 +24,17 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class LegendreMonomials:
-    """Exact coefficients of P_L: ``coeffs[m]`` multiplies x^m."""
+    """Exact coefficients of P_L: ``scaled[m]`` is the integer coefficient
+    of x^m in 2^L P_L."""
 
     degree: int
-    coeffs: tuple[Fraction, ...]
+    scaled: tuple[int, ...]
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """[x^m] P_L as fractions, lowest power first."""
+        scale = 2**self.degree
+        return tuple(Fraction(c, scale) for c in self.scaled)
 
 
 @lru_cache(maxsize=None)
@@ -53,10 +61,7 @@ def _coeff_table(L: int) -> tuple[int, ...]:
 
 
 def monomials(L: int) -> LegendreMonomials:
-    """Monomial expansion of P_L with exact rational coefficients."""
+    """Monomial expansion of P_L with exact coefficients."""
     if L < 0:
         raise ValueError("degree must be nonnegative")
-    scale = 2**L
-    return LegendreMonomials(
-        degree=L, coeffs=tuple(Fraction(c, scale) for c in _coeff_table(L))
-    )
+    return LegendreMonomials(degree=L, scaled=_coeff_table(L))

@@ -157,7 +157,7 @@ class BigReal:
     def render(self, digits: int | None = None) -> str:
         return render_significant(self.value, digits or self.precision)
 
-    # -- predicates and ordering -------------------------------------------
+    # -- predicates ---------------------------------------------------------
 
     @property
     def sign(self) -> int:
@@ -167,20 +167,6 @@ class BigReal:
 
     def is_zero(self) -> bool:
         return self.value.is_zero()
-
-    def __lt__(self, other: "BigReal") -> bool:
-        return self.value < other.value
-
-    def __le__(self, other: "BigReal") -> bool:
-        return self.value <= other.value
-
-    # copy_negate/copy_abs: the operator forms would round to the ambient
-    # decimal context, which is narrower than our precision.
-    def __neg__(self) -> "BigReal":
-        return BigReal(self.value.copy_negate(), self.precision)
-
-    def __abs__(self) -> "BigReal":
-        return BigReal(self.value.copy_abs(), self.precision)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +269,6 @@ class PrimePowers:
             if q == p:
                 return e
         return 0
-
-    def reconstruct(self) -> int:
-        n = self.leftover
-        for p, e in self.exponents:
-            n *= p**e
-        return self.sign * n
 
 
 def nearest_integer_gap(c: BigReal | Fraction) -> tuple[int, Fraction]:

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 from .legendre import monomials
 from .mpnum import (
     BigReal,
-    DEFAULT_GUARD_DIGITS,
     DEFAULT_PRIME_BOUND,
     NotNearInteger,
     PrimePowers,
@@ -90,29 +89,27 @@ class FactorReport:
         return all(e.certified for e in self.entries)
 
 
-def to_power_series(
-    s: FLSeries, max_power: int, guard: int = DEFAULT_GUARD_DIGITS
-) -> PowerSeries:
+def to_power_series(s: FLSeries, max_power: int) -> PowerSeries:
     """Gather like powers of x across the expansion's Legendre terms.
 
-    Folding a series whose entries stop short of ``max_power`` is allowed on
-    purpose: the partial folds are exactly the convergence ladder worth
-    inspecting row by row.
+    With a_L = A_L / D over the series' common denominator and C_{L,m} the
+    integer coefficients of 2^L P_L, the fold is the integer sum
+
+        c_m = sum_L A_L C_{L,m} 2^(l - L) / (D 2^l),  l = l_max,
+
+    rounded once.  Folding a series whose entries stop short of
+    ``max_power`` is allowed on purpose: the partial folds are exactly the
+    convergence ladder worth inspecting row by row.
     """
-    mono = {L: monomials(L).coeffs for L, _ in s.entries}
-    coeffs: list[tuple[int, BigReal]] = []
-    with localcontext() as ctx:
-        ctx.prec = s.precision + guard
-        for m in range(s.order % 2, max_power + 1, 2):
-            total = Decimal(0)
-            for L, a in s.entries:
-                if m <= L:
-                    q = mono[L][m]
-                    if q:
-                        total += a.value * (
-                            Decimal(q.numerator) / Decimal(q.denominator)
-                        )
-            coeffs.append((m, BigReal(total, s.precision)))
+    D, numerators = s.common_form
+    top = max(s.l_max, 0)
+    rows = [(monomials(L).scaled, A << (top - L)) for L, A in numerators.items()]
+    coeffs = []
+    for m in range(s.order % 2, max_power + 1, 2):
+        total = sum(A * row[m] for row, A in rows if m < len(row))
+        coeffs.append(
+            (m, BigReal.from_fraction(Fraction(total, D << top), s.precision))
+        )
     return PowerSeries(
         kind=s.kind,
         order=s.order,

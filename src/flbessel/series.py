@@ -22,20 +22,19 @@ The modified-function coefficients are the same formula with argument
 +k^2/4 and sigma = +1: substituting an imaginary scale into the J series
 and unwinding the phases leaves a real series with all-positive entries.
 
-``coeff_oracle`` is an independent derivation kept deliberately separate
-from the hypergeometric route: it pushes the standard ascending series for
-J_N through the exact rational closed form of the monomial-against-P_L
-integral.  Tests require the two to agree; neither is allowed to lean on
-the other.
+Every printed digit of a truncated series, its value at a point
+(``eval_series``) or its fold into powers of x
+(``powerprime.to_power_series``), is one rounding of an exact sum over the
+series' common denominator (``FLSeries.common_form``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .mpnum import (
     BigReal,
@@ -68,7 +67,10 @@ class FLSeries:
     """A truncated Legendre-basis expansion of J_N(kx) or I_N(kx).
 
     ``entries`` holds (L, a_L) pairs with L = N (mod 2) ascending; the
-    opposite parity is absent rather than stored as zero.
+    opposite parity is absent rather than stored as zero.  ``exact`` holds
+    the unrounded rational value of each entry, in the same order, when the
+    series was assembled from them; it takes no part in equality, and a
+    series without it stands for the rounded values its entries print.
     """
 
     kind: str
@@ -76,6 +78,7 @@ class FLSeries:
     k: Fraction
     entries: tuple[tuple[int, BigReal], ...]
     precision: int
+    exact: tuple[Fraction, ...] = field(default=(), compare=False, repr=False)
 
     def coefficient(self, L: int) -> BigReal | None:
         for ell, a in self.entries:
@@ -86,6 +89,18 @@ class FLSeries:
     @property
     def l_max(self) -> int:
         return self.entries[-1][0] if self.entries else -1
+
+    @cached_property
+    def common_form(self) -> tuple[int, dict[int, int]]:
+        """(D, {L: A_L}) with a_L = A_L / D exactly, D the least common
+        denominator: the whole table as integers over one denominator, so
+        that every fold over it is an integer sum with one division."""
+        values = self.exact or tuple(a.to_fraction() for _, a in self.entries)
+        den = math.lcm(*(q.denominator for q in values))
+        return den, {
+            L: q.numerator * (den // q.denominator)
+            for (L, _), q in zip(self.entries, values)
+        }
 
 
 @dataclass(frozen=True)
@@ -230,12 +245,19 @@ def build_series(
     coeff = coeff_a if kind == "J" else coeff_a_modified
     start = N % 2
 
+    def entry(L: int) -> tuple[int, BigReal, Fraction]:
+        a = coeff(L, N, k, precision, guard)
+        return L, a, _coeff_rational(kind, L, N, k, precision, guard)
+
+    def assemble(rows: list[tuple[int, BigReal, Fraction]]) -> FLSeries:
+        return FLSeries(kind, N, k, tuple((L, a) for L, a, _ in rows), precision,
+                        exact=tuple(q for _, _, q in rows))
+
     if l_max is not None:
         degrees = range(start, l_max + 1, 2)
         if len(degrees) > TRUNCATION_CAP:
             raise TruncationCapExceeded(f"more than {TRUNCATION_CAP} entries")
-        entries = tuple((L, coeff(L, N, k, precision, guard)) for L in degrees)
-        return FLSeries(kind, N, k, entries, precision)
+        return assemble([entry(L) for L in degrees])
 
     if threshold is None:
         thresh = Decimal(10) ** -(precision + 2)
@@ -246,33 +268,32 @@ def build_series(
     else:
         thresh = Decimal(threshold)
 
-    entries: list[tuple[int, BigReal]] = []
+    rows: list[tuple[int, BigReal, Fraction]] = []
     small_run = 0
     L = start
     while small_run < 2:
-        if len(entries) >= TRUNCATION_CAP:
+        if len(rows) >= TRUNCATION_CAP:
             raise TruncationCapExceeded(f"more than {TRUNCATION_CAP} entries")
-        a = coeff(L, N, k, precision, guard)
-        entries.append((L, a))
-        small_run = small_run + 1 if a.value.copy_abs() < thresh else 0
+        rows.append(entry(L))
+        small_run = small_run + 1 if rows[-1][1].value.copy_abs() < thresh else 0
         L += 2
-    while entries and entries[-1][1].value.copy_abs() < thresh:
-        entries.pop()
-    return FLSeries(kind, N, k, tuple(entries), precision)
+    while rows and rows[-1][1].value.copy_abs() < thresh:
+        rows.pop()
+    return assemble(rows)
 
 
 def eval_series(
     s: FLSeries,
     x: Fraction | int,
     precision: int | None = None,
-    guard: int = DEFAULT_GUARD_DIGITS,
 ) -> BigReal:
-    """Sum a_L P_L(x) with exact rational P_L values.
+    """Sum a_L P_L(x) exactly and round once.
 
     With x = a/b, P_L(x) = U_L / (L! b^L) for the integers of the scaled
-    Bonnet recurrence U_L = (2L-1) a U_{L-1} - (L-1)^2 b^2 U_{L-2}; the
-    ``Decimal`` quotient of those two integers is the correctly rounded
-    value with the same exponent as that of the reduced fraction.
+    Bonnet recurrence U_L = (2L-1) a U_{L-1} - (L-1)^2 b^2 U_{L-2}, and
+    a_L = A_L / D over the series' common denominator, so the truncated sum
+    is the integer sum of A_L U_L (l! b^l / (L! b^L)) over D l! b^l with
+    l = l_max, formed Horner-fashion as L rises.
 
     Arguments outside [-1, 1] are fine; the polynomial growth there is the
     series' own problem and is what ``accuracy_scan`` quantifies.  Asking
@@ -285,24 +306,18 @@ def eval_series(
         raise DigitsExceedPrecision(
             f"{p} digits requested from a {s.precision}-digit series"
         )
-    if not s.entries:
-        return BigReal.from_int(0, p)
-    lmax = s.l_max
-    coeffs = dict(s.entries)
-
+    D, coeffs = s.common_form
     a, b = x.numerator, x.denominator
     b2 = b * b
-    total = Decimal(0)
-    with localcontext() as ctx:
-        ctx.prec = p + guard
-        u_prev, u, den = 0, 1, 1  # U_{L-1}, U_L and L! b^L at L = 0
-        for L in range(0, lmax + 1):
-            if L:
-                u_prev, u = u, (2 * L - 1) * a * u - (L - 1) ** 2 * b2 * u_prev
-                den *= L * b
-            if L in coeffs:
-                total += coeffs[L].value * (Decimal(u) / Decimal(den))
-    return BigReal(total, p)
+    u_prev, u, den = 0, 1, 1  # U_{L-1}, U_L and L! b^L at L = 0
+    total = coeffs.get(0, 0)
+    for L in range(1, s.l_max + 1):
+        u_prev, u = u, (2 * L - 1) * a * u - (L - 1) ** 2 * b2 * u_prev
+        den *= L * b
+        total *= L * b  # the partial sum, now over L! b^L like U_L
+        if L in coeffs:
+            total += coeffs[L] * u
+    return BigReal.from_fraction(Fraction(total, D * den), p)
 
 
 # ---------------------------------------------------------------------------
@@ -331,62 +346,6 @@ def maclaurin_ref(
     terms = plain_terms((), (Fraction(N + 1),), hh, half**N / math.factorial(N))
     q = sum_terms(terms, precision, guard, 10 * precision + 501)
     return BigReal.from_fraction(q, precision)
-
-
-def _monomial_projection(m: int, L: int) -> Fraction:
-    """Exact value of the integral of x^m P_L(x) over [-1, 1].
-
-    Zero for m < L or opposite parity.  Rodrigues' formula plus L
-    integrations by parts reduces the integral to a Beta function:
-
-        m! Gamma(s + 1/2) / ((m-L)! 2^L Gamma(s + L + 3/2)),  s = (m-L)/2,
-
-    and the gamma ratio is rational because both arguments are
-    half-integers.
-    """
-    if m < L or (m - L) % 2 == 1:
-        return Fraction(0)
-    s = (m - L) // 2
-    return (
-        Fraction(math.factorial(m)) * gamma_half_exact(s)
-        / (math.factorial(m - L) * 2**L * gamma_half_exact(s + L + 1))
-    )
-
-
-def coeff_oracle(
-    L: int,
-    N: int,
-    k: Fraction | int,
-    maclaurin_terms: int,
-    precision: int,
-    kind: str = "J",
-) -> BigReal:
-    """Brute-force coefficient from the orthogonality projection.
-
-    Replaces the function under the projection integral with its ascending
-    series and integrates term by term, all in exact rationals.  This path
-    never touches the hypergeometric machinery, which is the point: it is
-    the independent witness the closed form is tested against.  The caller
-    picks ``maclaurin_terms`` large enough for the target precision
-    (roughly L/2 + precision is comfortable).
-    """
-    _check_kind(kind)
-    if (L + N) % 2 == 1:
-        return BigReal.from_int(0, precision)
-    k = Fraction(k)
-    total = Fraction(0)
-    for j in range(maclaurin_terms):
-        m = 2 * j + N
-        proj = _monomial_projection(m, L)
-        if proj == 0:
-            continue
-        mac = Fraction(1, 2 ** (2 * j + N)) / (
-            math.factorial(j) * math.factorial(j + N)
-        )
-        if kind == "J" and j % 2 == 1:
-            mac = -mac
-        total += mac * k**m * proj
-    return BigReal.from_fraction(Fraction(2 * L + 1, 2) * total, precision)
 
 
 #: Every published fit coefficient is a multiple of 10^-8.

@@ -1,8 +1,9 @@
 """Reference computations the tests check the package against.
 
 Each one reaches its value by a different route from the package code it
-witnesses: first-principles Pochhammer products instead of the term
-recurrence, closed forms instead of the Bonnet recurrence, the reflection
+witnesses: the orthogonality projection of the ascending series instead
+of the hypergeometric closed form, first-principles Pochhammer products
+instead of the term recurrence, closed forms instead of the Bonnet recurrence, the reflection
 formula instead of the rising product, reduced ``Fraction`` terms,
 Legendre values and fit polynomials instead of unreduced integers, joined
 ``str`` digits instead of a translated byte string.  None of them is on a
@@ -17,7 +18,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from flbessel.hypergeom import TermCapExceeded
-from flbessel.mpnum import DEFAULT_GUARD_DIGITS, BigReal, _round_sig, pochhammer
+from flbessel.mpnum import (
+    DEFAULT_GUARD_DIGITS,
+    BigReal,
+    PrimePowers,
+    _round_sig,
+    gamma_half_exact,
+    pochhammer,
+)
 from flbessel.powerprime import PowerSeries
 from flbessel.series import _ALLEN, FLSeries
 from flbessel.sumverify import SumSpec, partial_sums_rational
@@ -119,29 +127,86 @@ def eval_P_rational(L: int, x: Fraction) -> Fraction:
     return p
 
 
-def fraction_eval_series(
-    s: FLSeries, x: Fraction | int, precision: int, guard: int = DEFAULT_GUARD_DIGITS
-) -> BigReal:
-    """Sum a_L P_L(x) with P_L(x) from the reduced-``Fraction`` Bonnet loop.
+def fraction_eval_series(s: FLSeries, x: Fraction | int, precision: int) -> BigReal:
+    """Sum a_L P_L(x) in reduced ``Fraction`` values and round once.
 
-    The loop that ``series.eval_series`` replaced with the integer
-    recurrence; the ``Decimal`` accumulation is the same.
+    a_L is each entry's exact value (the rounded one when the series carries
+    none) and P_L(x) comes from the reduced-``Fraction`` Bonnet loop, where
+    ``series.eval_series`` runs an integer recurrence over one common
+    denominator.
     """
     x = Fraction(x)
-    coeffs = dict(s.entries)
-    total = Decimal(0)
-    with localcontext() as ctx:
-        ctx.prec = precision + guard
-        pm1, pl = Fraction(1), x
-        for L in range(0, s.l_max + 1):
-            pval = pm1 if L == 0 else (pl if L == 1 else None)
-            if pval is None:
-                pm1, pl = pl, (Fraction(2 * L - 1) * x * pl - (L - 1) * pm1) / L
-                pval = pl
-            if L in coeffs:
-                pdec = Decimal(pval.numerator) / Decimal(pval.denominator)
-                total += coeffs[L].value * pdec
-    return BigReal(total, precision)
+    values = s.exact or tuple(a.to_fraction() for _, a in s.entries)
+    total = sum(
+        (q * eval_P_rational(L, x) for (L, _), q in zip(s.entries, values)),
+        Fraction(0),
+    )
+    return BigReal.from_fraction(total, precision)
+
+
+def monomial_projection(m: int, L: int) -> Fraction:
+    """Exact value of the integral of x^m P_L(x) over [-1, 1].
+
+    Zero for m < L or opposite parity.  Rodrigues' formula plus L
+    integrations by parts reduces the integral to a Beta function:
+
+        m! Gamma(s + 1/2) / ((m-L)! 2^L Gamma(s + L + 3/2)),  s = (m-L)/2,
+
+    and the gamma ratio is rational because both arguments are
+    half-integers.
+    """
+    if m < L or (m - L) % 2 == 1:
+        return Fraction(0)
+    s = (m - L) // 2
+    return (
+        Fraction(math.factorial(m)) * gamma_half_exact(s)
+        / (math.factorial(m - L) * 2**L * gamma_half_exact(s + L + 1))
+    )
+
+
+def coeff_oracle(
+    L: int,
+    N: int,
+    k: Fraction | int,
+    maclaurin_terms: int,
+    precision: int,
+    kind: str = "J",
+) -> BigReal:
+    """Brute-force coefficient from the orthogonality projection.
+
+    Replaces the function under the projection integral with its ascending
+    series and integrates term by term, all in exact rationals.  This path
+    never touches the hypergeometric machinery, which is the point: it is
+    the independent witness the closed form is tested against.  The caller
+    picks ``maclaurin_terms`` large enough for the target precision
+    (roughly L/2 + precision is comfortable).
+    """
+    if kind not in ("J", "I"):
+        raise ValueError(f"kind must be 'J' or 'I', got {kind!r}")
+    if (L + N) % 2 == 1:
+        return BigReal.from_int(0, precision)
+    k = Fraction(k)
+    total = Fraction(0)
+    for j in range(maclaurin_terms):
+        m = 2 * j + N
+        proj = monomial_projection(m, L)
+        if proj == 0:
+            continue
+        mac = Fraction(1, 2 ** (2 * j + N)) / (
+            math.factorial(j) * math.factorial(j + N)
+        )
+        if kind == "J" and j % 2 == 1:
+            mac = -mac
+        total += mac * k**m * proj
+    return BigReal.from_fraction(Fraction(2 * L + 1, 2) * total, precision)
+
+
+def reconstruct(pp: PrimePowers) -> int:
+    """The signed integer sign * leftover * prod(p^e) a factorization stands for."""
+    n = pp.leftover
+    for p, e in pp.exponents:
+        n *= p**e
+    return pp.sign * n
 
 
 def fraction_eval_allen(which: str, x: Fraction | int, precision: int) -> BigReal:

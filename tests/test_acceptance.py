@@ -39,7 +39,6 @@ from flbessel.series import (
     build_series,
     coeff_a,
     coeff_a_modified,
-    coeff_oracle,
     eval_allen,
     eval_series,
     maclaurin_ref,
@@ -47,6 +46,7 @@ from flbessel.series import (
 from flbessel.sumverify import SumSpec, partial_sums_rational, verify_identity
 from oracles import (
     cauchy_check,
+    coeff_oracle,
     compare_power_series,
     pochhammer_reflect,
     summed_series_lhs,

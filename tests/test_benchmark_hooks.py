@@ -1,0 +1,82 @@
+"""The benchmark's hooks name live functions on the paths they time.
+
+``perfbench/tracer.py`` wraps functions by name and reports a name that no
+longer resolves as absent; a traced run with an absent or idle hook is not a
+valid measurement.  The file is only read here, never imported or changed.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import inspect
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from flbessel import cli, powerprime, series
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _hook_names() -> dict[str, tuple[str, ...]]:
+    names = {}
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in ("SPANNED", "COUNTED", "CACHES"):
+                    names[target.id] = ast.literal_eval(node.value)
+    return names
+
+
+HOOKS = _hook_names()
+
+
+def _resolve(path: str):
+    module, *attrs = path.split(".")
+    obj = importlib.import_module(f"flbessel.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_the_tracer_declares_all_three_hook_lists():
+    assert set(HOOKS) == {"SPANNED", "COUNTED", "CACHES"}
+    assert all(HOOKS.values())
+
+
+@pytest.mark.parametrize("path", HOOKS["SPANNED"])
+def test_spanned_hook_resolves(path):
+    assert callable(_resolve(path))
+
+
+@pytest.mark.parametrize("path", HOOKS["COUNTED"])
+def test_counted_hook_is_a_generator_function(path):
+    assert inspect.isgeneratorfunction(_resolve(path))
+
+
+@pytest.mark.parametrize("path", HOOKS["CACHES"])
+def test_cache_hook_has_cache_info(path):
+    assert hasattr(_resolve(path), "cache_info")
+
+
+def test_fold_and_evaluation_hooks_stay_on_their_paths(monkeypatch, capsys):
+    # the tracer rebinds module-level names; the power fold must still reach
+    # the Legendre table through ``monomials`` and ``bench`` must evaluate
+    # through ``eval_series``
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in ((powerprime, "monomials"), (powerprime, "to_power_series"),
+                        (series, "eval_series")):
+        monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
+    assert cli.main(["power", "J", "0", "1", "--max-power", "4", "--terms", "3"]) == 0
+    assert cli.main(["bench", "--which", "j1", "--grid", "3"]) == 0
+    capsys.readouterr()
+    assert calls == {"monomials": 3, "to_power_series": 1, "eval_series": 3}

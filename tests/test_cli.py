@@ -187,6 +187,13 @@ def test_usage_errors_exit_2(capsys):
     ("verify", "--family", "j0", "--h-range", "0..399", "--terms", "400"),
     ("verify", "--family", "j1", "--h-range", "0..200", "--terms", "+51"),
     ("verify", "--family", "j0", "--h-range", "0..25", "--terms", "385"),
+    # more than MAX_VERIFY_WEIGHT, the sum of each identity's terms squared:
+    # 25 identities of 400 terms ran 5 s within the 10 000-term total
+    ("verify", "--family", "j0", "--h-range", "0..24", "--terms", "400"),
+    ("verify", "--family", "j1", "--h-range", "0..6", "--terms", "400"),
+    # no terms at all: no identity can be summed, however long the range
+    ("verify", "--family", "j0", "--h-range", "0..1000000000000", "--terms", "0"),
+    ("verify", "--family", "j0", "--h-range", "0..3", "--terms", "+0"),
     # bench grids outside 2..MAX_GRID
     ("bench", "--which", "j0", "--grid", "20000"),
     ("bench", "--which", "i1", "--grid", "2002"),

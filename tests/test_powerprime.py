@@ -5,6 +5,9 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import pytest
+
+from flbessel.mpnum import BigReal
 from flbessel.powerprime import (
     certify_prime_structure,
     exact_power_series,
@@ -12,7 +15,7 @@ from flbessel.powerprime import (
     to_power_series,
 )
 from flbessel.series import build_series
-from oracles import compare_power_series
+from oracles import compare_power_series, monomial_coefficient
 from refdata import J0_EXPONENTS, J1_EXPONENTS, table1_rows, ulp_of
 
 F = Fraction
@@ -172,3 +175,19 @@ def test_fold_error_non_increasing_with_provenance():
             if last is not None:
                 assert err <= last + Decimal(10) ** -64
             last = err
+
+
+@pytest.mark.parametrize("k", [F(1), F(7, 4)])
+@pytest.mark.parametrize("N", [0, 1])
+@pytest.mark.parametrize("kind", ["J", "I"])
+def test_fold_is_the_correctly_rounded_exact_fold(kind, N, k):
+    # 74 terms: the huge alternating [x^m] P_L amplified the 50-digit
+    # rounding of each a_L when the fold summed the rounded values
+    s = build_series(kind, N, k, l_max=146 + N, precision=50)
+    p = to_power_series(s, 45)
+    for m, c in p.coeffs:
+        exact = sum(
+            (q * monomial_coefficient(L, m) for (L, _), q in zip(s.entries, s.exact)),
+            F(0),
+        )
+        assert c == BigReal.from_fraction(exact, 50), m

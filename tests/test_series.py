@@ -19,7 +19,6 @@ from flbessel.series import (
     build_series,
     coeff_a,
     coeff_a_modified,
-    coeff_oracle,
     coeff_rational_general,
     coeff_rational_reduced,
     eval_allen,
@@ -28,7 +27,7 @@ from flbessel.series import (
     _phase_and_argument,
 )
 from flbessel.series import FLSeries
-from oracles import fraction_eval_allen, fraction_eval_series
+from oracles import coeff_oracle, fraction_eval_allen, fraction_eval_series
 from refdata import TRUE_VALUES
 
 F = Fraction
@@ -255,11 +254,15 @@ eval_points = st.one_of(
 
 
 @given(st.sampled_from("JI"), st.integers(0, 4), st.sampled_from([F(1), F(7, 4)]),
-       st.integers(-1, 60), eval_points, st.integers(1, 30))
+       st.integers(-1, 60), eval_points, st.integers(1, 30), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_eval_series_equals_fraction_bonnet(kind, N, k, l_max, x, precision):
+def test_eval_series_equals_fraction_bonnet(kind, N, k, l_max, x, precision, exact):
+    # with and without the exact values: a series parsed from JSON carries
+    # only its rounded entries
     full = _series_to_60(kind, N, k)
-    s = FLSeries(kind, N, k, tuple(e for e in full.entries if e[0] <= l_max), 30)
+    n = sum(1 for L, _ in full.entries if L <= l_max)
+    s = FLSeries(kind, N, k, full.entries[:n], 30,
+                 exact=full.exact[:n] if exact else ())
     got = eval_series(s, x, precision)
     assert _same_decimal(got, fraction_eval_series(s, x, precision))
 
@@ -276,3 +279,44 @@ def test_eval_allen_equals_fraction_horner(which, x, precision):
     as_big = BigReal.from_fraction(F(x), 12)
     assert _same_decimal(eval_allen(which, as_big, precision),
                          fraction_eval_allen(which, as_big.to_fraction(), precision))
+
+
+@pytest.mark.parametrize("kind, N, l_max", [("J", 0, 40), ("J", 1, 41), ("I", 0, 40)])
+def test_eval_is_the_correctly_rounded_function_on_the_unit_interval(kind, N, l_max):
+    # the truncation error on [-1, 1] is about 2e-64, far below the last of
+    # 50 digits; summing the 50-digit rounded coefficients missed 26, 50 and
+    # 12 of these 121 points
+    s = build_series(kind, N, 1, l_max=l_max, precision=50)
+    wrong = []
+    for i in range(-60, 61):
+        x = F(i, 60)
+        want = BigReal.from_fraction(maclaurin_ref(kind, N, 1, x, 90).to_fraction(), 50)
+        if str(eval_series(s, x)) != str(want):
+            wrong.append(x)
+    assert wrong == []
+
+
+@pytest.mark.parametrize("kind, N", [
+    ("J", 0), ("J", 1), ("J", 2), ("J", 5), ("J", 12), ("I", 6),
+])
+def test_order_ladder_ties_neighbouring_tables(kind, N):
+    # 2 J_N' = J_{N-1} - J_{N+1} and 2 I_N' = I_{N-1} + I_{N+1} (DLMF 10.6,
+    # 10.29), with J_{-1} = -J_1 and I_{-1} = I_1; the P_j coefficient of a
+    # derivative is (2j+1) times the sum of a_L over L > j with L - j odd
+    # (DLMF 18.9), so exactly
+    #   (2j+1) sum_{L>j, L-j odd} a^N_L = (k/2) (a^{N-1}_j -+ a^{N+1}_j).
+    # Past j = 50 the missing tail a_{L>80} dominates.
+    k, top = F(1), 80
+    sign = -1 if kind == "J" else 1
+
+    def table(n):
+        if n < 0:
+            return [sign * q for q in table(-n)]
+        return [series._coeff_rational(kind, L, n, k, 50, 16) for L in range(top + 1)]
+
+    below, here, above = table(N - 1), table(N), table(N + 1)
+    lhs = [(2 * j + 1) * sum(here[j + 1::2], F(0)) for j in range(50)]
+    rhs = [k / 2 * (below[j] + sign * above[j]) for j in range(50)]
+    largest = max(abs(v) for v in lhs + rhs)
+    worst = max(abs(a - b) for a, b in zip(lhs, rhs))
+    assert worst <= largest * F(1, 10**60)
