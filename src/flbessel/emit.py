@@ -307,7 +307,7 @@ def emit_json(obj) -> str:
             "schema": SCHEMA_VERSION,
             "type": "sum_verification",
             "family": obj.spec.family,
-            "variant": obj.spec.variant,
+            "variant": "pochhammer",  # the bracket every term was checked against
             "h": obj.spec.h,
             "k": _k_text(obj.spec.k),
             "terms": obj.spec.L_terms,
@@ -394,7 +394,6 @@ def parse_json(text: str):
             k=_parse_k(payload["k"]),
             L_terms=payload["terms"],
             precision=payload["precision"],
-            variant=payload["variant"],
         )
         p = payload["precision"]
         return VerifyReport(

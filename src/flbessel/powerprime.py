@@ -120,27 +120,28 @@ def to_power_series(s: FLSeries, max_power: int) -> PowerSeries:
     )
 
 
+def maclaurin_coefficient(kind: str, N: int, j: int, k: Fraction | int = 1) -> Fraction:
+    """The x^(2j+N) coefficient of J_N(kx) or I_N(kx), exactly.
+
+    It is (+-1)^j k^(2j+N) / (2^(2j+N) j! (j+N)!), alternating for J and all
+    positive for I.
+    """
+    m = 2 * j + N
+    sign = -1 if kind == "J" and j % 2 else 1
+    c = Fraction(sign, 2**m) / (math.factorial(j) * math.factorial(j + N))
+    return c * Fraction(k) ** m
+
+
 def maclaurin_exact(
     kind: str, N: int, max_power: int, k: Fraction | int = 1
 ) -> tuple[tuple[int, Fraction], ...]:
-    """Exact ascending-series coefficients of x^m for J_N(kx) or I_N(kx).
-
-    The x^(2j+N) coefficient is (+-1)^j k^(2j+N) / (2^(2j+N) j! (j+N)!),
-    alternating for J and all positive for I.
-    """
+    """Exact ascending-series coefficients (m, c_m), m = N, N+2, ... <= max_power."""
     if kind not in ("J", "I"):
         raise ValueError(f"kind must be 'J' or 'I', got {kind!r}")
-    k = Fraction(k)
-    out = []
-    j = 0
-    while 2 * j + N <= max_power:
-        m = 2 * j + N
-        c = Fraction(1, 2**m) / (math.factorial(j) * math.factorial(j + N))
-        if kind == "J" and j % 2 == 1:
-            c = -c
-        out.append((m, c * k**m))
-        j += 1
-    return tuple(out)
+    return tuple(
+        (2 * j + N, maclaurin_coefficient(kind, N, j, k))
+        for j in range((max_power - N) // 2 + 1)
+    )
 
 
 def exact_power_series(

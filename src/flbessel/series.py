@@ -224,7 +224,7 @@ def build_series(
     k: Fraction | int,
     *,
     l_max: int | None = None,
-    threshold: Fraction | Decimal | BigReal | None = None,
+    threshold: Fraction | Decimal | None = None,
     precision: int = 50,
     guard: int = DEFAULT_GUARD_DIGITS,
 ) -> FLSeries:
@@ -234,7 +234,8 @@ def build_series(
     given, threshold mode runs at the default 10^-(precision+2).  In
     threshold mode assembly stops once two consecutive coefficients fall
     below the threshold, and that trailing run of negligible entries is
-    dropped from the result.
+    dropped from the result.  Each comparison is exact, on the coefficient's
+    unrounded value.
     """
     _check_kind(kind)
     if N < 0:
@@ -259,15 +260,8 @@ def build_series(
             raise TruncationCapExceeded(f"more than {TRUNCATION_CAP} entries")
         return assemble([entry(L) for L in degrees])
 
-    if threshold is None:
-        thresh = Decimal(10) ** -(precision + 2)
-    elif isinstance(threshold, BigReal):
-        thresh = threshold.value
-    elif isinstance(threshold, Fraction):
-        thresh = Decimal(threshold.numerator) / Decimal(threshold.denominator)
-    else:
-        thresh = Decimal(threshold)
-
+    thresh = (Fraction(1, 10 ** (precision + 2)) if threshold is None
+              else Fraction(threshold))
     rows: list[tuple[int, BigReal, Fraction]] = []
     small_run = 0
     L = start
@@ -275,9 +269,9 @@ def build_series(
         if len(rows) >= TRUNCATION_CAP:
             raise TruncationCapExceeded(f"more than {TRUNCATION_CAP} entries")
         rows.append(entry(L))
-        small_run = small_run + 1 if rows[-1][1].value.copy_abs() < thresh else 0
+        small_run = small_run + 1 if abs(rows[-1][2]) < thresh else 0
         L += 2
-    while rows and rows[-1][1].value.copy_abs() < thresh:
+    while rows and abs(rows[-1][2]) < thresh:
         rows.pop()
     return assemble(rows)
 

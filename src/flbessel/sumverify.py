@@ -24,13 +24,18 @@ odd one).  The coefficient a_L comes from the coefficient route of
 
   T = (-1)^m (2L-2m)! / (m! (L-m)! (L-2m)!),   m = (L-N)/2 - h.
 
-The bracket is the monomial-extraction factor of the displays and exists in
-three algebraically identical dress codes (``pochhammer``, ``reflected``,
-``gammaform``).  Each term builds the one form its spec names, in exact
-rational arithmetic, and refuses to proceed unless
-bracket * (2L)! = T * m! * (L!)^2.  For the first h candidate terms m is
-negative (the factorial in the denominator has a negative argument), which
-is why those terms vanish identically.
+The bracket is the monomial-extraction factor of the displays.  The paper
+writes it three algebraically identical ways (Pochhammer, reflected, gamma);
+each term builds the Pochhammer display
+
+  ((1-L)/2)_m (-L/2)_m / ((1-2L)/2)_m
+
+in exact rational arithmetic, and refuses to proceed unless
+bracket * (2L)! = T * m! * (L!)^2.  That the other two displays equal it for
+every (L, h, m) is proved once, in the tests, by a term-ratio certificate.
+For the first h candidate terms m is negative (the factorial in the
+denominator has a negative argument), which is why those terms vanish
+identically.
 
 Everything is exact: each term is a rational number, each partial sum is a
 rational number, and the only rounding happens when results are rendered.
@@ -45,32 +50,29 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .mpnum import BigReal, DEFAULT_GUARD_DIGITS, pochhammer
+from .powerprime import maclaurin_coefficient
 from .series import _coeff_rational
 
 FAMILIES = ("j0", "j1")
-VARIANTS = ("pochhammer", "reflected", "gammaform")
 
 
 class VariantMismatch(ArithmeticError):
-    """A bracket form disagreed with the Legendre monomial coefficient."""
+    """The Pochhammer bracket disagreed with the Legendre monomial coefficient."""
 
 
 @dataclass(frozen=True)
 class SumSpec:
-    """One summed-series instance: family, bracket variant, h, scale, length."""
+    """One summed-series instance: family, h, scale, length."""
 
     family: str
     h: int
     k: Fraction
     L_terms: int
     precision: int = 50
-    variant: str = "pochhammer"
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
         if self.h < 0:
             raise ValueError("h must be nonnegative")
         if self.L_terms < self.h + 1:
@@ -97,55 +99,17 @@ def _f12(N: int, L: int, k: Fraction, precision: int, guard: int) -> Fraction:
     return _coeff_rational.__wrapped__("J", L, N, k, precision, guard) / 2**L
 
 
-def _quotient(sign: int, upper: tuple, lower: tuple, m: int) -> Fraction:
-    """sign * prod (a)_m over ``upper`` / prod (b)_m over ``lower``.
+def _brackets(L: int, m: int) -> Fraction:
+    """The bracket ((1-L)/2)_m (-L/2)_m / ((1-2L)/2)_m of degree L at depth m.
 
     The Pochhammer numerators and denominators are multiplied as integers and
     normalised once, not through a ``Fraction`` product per factor.
     """
-    num, den = sign, 1
-    for a in upper:
-        p = pochhammer(a, m)
-        num *= p.numerator
-        den *= p.denominator
-    for b in lower:
-        p = pochhammer(b, m)
-        num *= p.denominator
-        den *= p.numerator
-    return Fraction(num, den)
-
-
-def _brackets(
-    family: str, L: int, h: int, m: int, variants: tuple[str, ...] = VARIANTS
-) -> tuple[Fraction, ...]:
-    """The monomial-extraction factors named in ``variants``, in that order.
-
-    All three forms are equal for m >= 0.  In ``gammaform`` the powers of two
-    of Gamma(h + L/2 + 1/2) / Gamma(L + 1/2) cancel exactly, which leaves a
-    ratio of factorials.
-    """
-    N = FAMILIES.index(family)
-    sign = -1 if m % 2 else 1
-    fact = math.factorial
-    out = []
-    for variant in variants:
-        if variant == "pochhammer":
-            out.append(_quotient(
-                1, (Fraction(1 - L, 2), Fraction(-L, 2)), (Fraction(1 - 2 * L, 2),), m
-            ))
-        elif variant == "reflected":
-            out.append(_quotient(
-                sign,
-                (Fraction(2 * h + N + 1, 2), Fraction(2 * h + N + 2, 2)),
-                (Fraction(2 * h + L + N + 1, 2),),
-                m,
-            ))
-        else:
-            out.append(Fraction(
-                sign * fact(L) ** 2 * fact(2 * h + L + N),
-                fact(2 * h + N) * fact((2 * h + L + N) // 2) * fact(2 * L),
-            ))
-    return tuple(out)
+    a = pochhammer(Fraction(1 - L, 2), m)
+    b = pochhammer(Fraction(-L, 2), m)
+    c = pochhammer(Fraction(1 - 2 * L, 2), m)
+    return Fraction(a.numerator * b.numerator * c.denominator,
+                    a.denominator * b.denominator * c.numerator)
 
 
 def term_rational(
@@ -162,10 +126,10 @@ def term_rational(
     fact = math.factorial
     # T = 2^L [x^(L-2m)] P_L, an integer
     T = (-1 if m % 2 else 1) * math.comb(L, m) * math.comb(2 * L - 2 * m, L)
-    (bracket,) = _brackets(spec.family, L, h, m, (spec.variant,))
+    bracket = _brackets(L, m)
     if bracket.numerator * fact(2 * L) != T * fact(m) * fact(L) ** 2 * bracket.denominator:
         raise VariantMismatch(
-            f"{spec.variant} bracket disagrees with [x^{L - 2 * m}] P_{L} at h={h}"
+            f"Pochhammer bracket disagrees with [x^{L - 2 * m}] P_{L} at h={h}"
         )
     return _f12(N, L, spec.k, spec.precision, guard) * T
 
@@ -188,15 +152,8 @@ def partial_sums_rational(
 
 
 def rhs_rational(spec: SumSpec) -> Fraction:
-    h, k = spec.h, Fraction(spec.k)
-    sign = -1 if h % 2 else 1
-    if spec.family == "j0":
-        return Fraction(sign, 4**h) / math.factorial(h) ** 2 * k ** (2 * h)
-    return (
-        Fraction(sign, 2 ** (2 * h + 1))
-        / (math.factorial(h) * math.factorial(h + 1))
-        * k ** (2 * h + 1)
-    )
+    """The closed form: the x^(2h+N) coefficient of J_N(kx)."""
+    return maclaurin_coefficient("J", FAMILIES.index(spec.family), spec.h, spec.k)
 
 
 def verify_identity(

@@ -6,7 +6,8 @@ of the hypergeometric closed form, first-principles Pochhammer products
 instead of the term recurrence, closed forms instead of the Bonnet recurrence, the reflection
 formula instead of the rising product, reduced ``Fraction`` terms,
 Legendre values and fit polynomials instead of unreduced integers, joined
-``str`` digits instead of a translated byte string.  None of them is on a
+``str`` digits instead of a translated byte string, the paper's other two
+bracket displays instead of its Pochhammer one.  None of them is on a
 runtime path.
 """
 
@@ -316,3 +317,128 @@ def cauchy_check(
     else:
         eps = Fraction(epsilon)
     return abs(as_fraction(partials[m]) - as_fraction(partials[n])) < eps
+
+
+# ---------------------------------------------------------------------------
+# The paper's three displays of the summed-series bracket
+# ---------------------------------------------------------------------------
+#
+# A display is a hypergeometric term in (L, h, m) on the plane
+# L = 2h + N + 2m (N = 0 for j0, 1 for j1), written as the triple
+# (alternating, rising, factorials): an optional (-1)^m, rising factorials
+# (a)_m and factorials n!, each a pair (affine form, exponent).  An affine
+# form is the coefficient tuple (c_L, c_h, c_m, c_0) of
+# c_L L + c_h h + c_m m + c_0.
+
+_HALF = Fraction(1, 2)
+
+
+def bracket_displays(N: int) -> dict[str, tuple]:
+    """The Pochhammer, reflected and gamma displays for the family of parity N."""
+    return {
+        # ((1-L)/2)_m (-L/2)_m / ((1-2L)/2)_m
+        "pochhammer": (False, [((-_HALF, 0, 0, _HALF), 1), ((-_HALF, 0, 0, 0), 1),
+                               ((-1, 0, 0, _HALF), -1)], []),
+        # (-1)^m ((2h+N+1)/2)_m ((2h+N+2)/2)_m / ((2h+L+N+1)/2)_m
+        "reflected": (True, [((0, 1, 0, (N + 1) * _HALF), 1),
+                             ((0, 1, 0, (N + 2) * _HALF), 1),
+                             ((_HALF, 1, 0, (N + 1) * _HALF), -1)], []),
+        # (-1)^m (L!)^2 (2h+L+N)! / ((2h+N)! ((2h+L+N)/2)! (2L)!); the powers
+        # of two of Gamma(h + L/2 + 1/2) / Gamma(L + 1/2) cancel exactly
+        "gammaform": (True, [], [((1, 0, 0, 0), 2), ((1, 2, 0, N), 1),
+                                 ((0, 2, 0, N), -1), ((_HALF, 1, 0, N * _HALF), -1),
+                                 ((2, 0, 0, 0), -1)]),
+    }
+
+
+#: T m! (L!)^2 / (2L)! with T = (-1)^m C(L, m) C(2L-2m, L) = 2^L [x^(L-2m)] P_L,
+#: the integer every bracket is checked against, transcribed factorial by
+#: factorial with C(n, r) = n! / (r! (n-r)!).
+MONOMIAL_TERM = (True, [], [
+    ((1, 0, 0, 0), 1), ((0, 0, 1, 0), -1), ((1, 0, -1, 0), -1),     # C(L, m)
+    ((2, 0, -2, 0), 1), ((1, 0, 0, 0), -1), ((1, 0, -2, 0), -1),    # C(2L-2m, L)
+    ((0, 0, 1, 0), 1), ((1, 0, 0, 0), 2), ((2, 0, 0, 0), -1),       # m! (L!)^2 / (2L)!
+])
+
+
+def affine_at(form: tuple, L: int, h: int, m: int) -> Fraction:
+    cL, ch, cm, c0 = form
+    return cL * L + ch * h + cm * m + Fraction(c0)
+
+
+def display_value(display: tuple, L: int, h: int, m: int) -> Fraction:
+    """The display at (L, h, m), from first-principles products.
+
+    With a = p/q, (a)_m = p (p+q) ... (p+(m-1)q) / q^m; the integer products
+    above and below are divided once at the end.
+    """
+    alternating, rising, factorials = display
+    parts = [-1 if alternating and m % 2 else 1, 1]  # numerator, denominator
+    for form, e in rising:
+        a = affine_at(form, L, h, m)
+        p, q = a.numerator, a.denominator
+        top, bottom = math.prod(range(p, p + m * q, q)), q**m
+        for _ in range(abs(e)):
+            parts[0] *= top if e > 0 else bottom
+            parts[1] *= bottom if e > 0 else top
+    for form, e in factorials:
+        n = affine_at(form, L, h, m)
+        if n.denominator != 1:
+            raise ValueError(f"factorial of {n} at L={L}, h={h}, m={m}")
+        parts[e < 0] *= math.factorial(int(n)) ** abs(e)
+    return Fraction(*parts)
+
+
+def bracket_forms(family: str, L: int, h: int, m: int) -> tuple[Fraction, ...]:
+    """The Pochhammer, reflected and gamma displays at (L, h, m), in that order."""
+    N = ("j0", "j1").index(family)
+    if L != 2 * h + N + 2 * m:
+        raise ValueError(f"L={L}, h={h}, m={m} is off the plane L = 2h + {N} + 2m")
+    return tuple(display_value(d, L, h, m) for d in bracket_displays(N).values())
+
+
+def _gamma_factors(display: tuple) -> list[tuple[tuple, int]]:
+    """The display as Gamma factors: (a)_m = G(a+m) / G(a), n! = G(n+1)."""
+    _, rising, factorials = display
+    out = []
+    for (cL, ch, cm, c0), e in rising:
+        out += [((cL, ch, cm + 1, c0), e), ((cL, ch, cm, c0), -e)]
+    for (cL, ch, cm, c0), e in factorials:
+        out.append(((cL, ch, cm, c0 + 1), e))
+    return out
+
+
+def term_ratio(display: tuple) -> tuple[int, list[tuple], list[tuple]]:
+    """(sign, numerator forms, denominator forms) of the ratio display(L, h-1, m+1)
+    / display(L, h, m), the step in m at fixed L.
+
+    A Gamma factor G(l) whose argument moves by s = c_m - c_h contributes
+    G(l+s) / G(l) = l (l+1) ... (l+s-1), or 1 / ((l-1) (l-2) ... (l+s)) when
+    s < 0; a negative exponent swaps numerator and denominator.
+    """
+    num: list[tuple] = []
+    den: list[tuple] = []
+    for (cL, ch, cm, c0), e in _gamma_factors(display):
+        s = Fraction(cm) - ch
+        if s.denominator != 1:
+            raise ValueError("a Gamma argument moves by a non-integer step")
+        up = [(cL, ch, cm, c0 + i) for i in range(int(s))]
+        down = [(cL, ch, cm, c0 - i) for i in range(1, 1 - int(s))]
+        if e < 0:
+            up, down = down, up
+        num += up * abs(e)
+        den += down * abs(e)
+    return (-1 if display[0] else 1), num, den
+
+
+def gamma_factors_cancel_at_m0(display: tuple, N: int) -> bool:
+    """Whether the Gamma factors cancel in pairs on m = 0, L = 2h + N.
+
+    Each argument is then an affine function of h alone; when every one
+    appears as often above as below the line, the display is 1 for every h.
+    """
+    count: dict[tuple, int] = {}
+    for (cL, ch, _, c0), e in _gamma_factors(display):
+        key = (2 * cL + ch, N * cL + Fraction(c0))
+        count[key] = count.get(key, 0) + e
+    return not any(count.values())

@@ -43,13 +43,13 @@ from flbessel.series import (
     eval_series,
     maclaurin_ref,
 )
-from flbessel.sumverify import SumSpec, partial_sums_rational, verify_identity
+from flbessel.sumverify import SumSpec, _brackets, partial_sums_rational, verify_identity
 from oracles import (
+    bracket_forms,
     cauchy_check,
     coeff_oracle,
     compare_power_series,
     pochhammer_reflect,
-    summed_series_lhs,
 )
 from refdata import (
     J0_EXPONENTS,
@@ -241,19 +241,16 @@ def test_criterion_07_summed_series_identities():
             for h in range(0, 11):
                 spec = SumSpec(family=fam, h=h, k=k, L_terms=h + 74, precision=50)
                 ok &= verify_identity(spec, F(1, 10**30)).passed
-    # the three bracket dress codes are the same sum, exactly
-    sums = {
-        v: summed_series_lhs(
-            SumSpec(family="j0", h=3, k=F(1), L_terms=40, precision=50, variant=v)
-        )
-        for v in ("pochhammer", "reflected", "gammaform")
-    }
-    ok &= sums["pochhammer"] == sums["reflected"] == sums["gammaform"]
+    # the paper's three bracket displays equal the bracket the terms build
+    for fam, N in (("j0", 0), ("j1", 1)):
+        for L in range(N + 6, N + 80, 2):
+            m = (L - N) // 2 - 3
+            ok &= bracket_forms(fam, L, 3, m) == (_brackets(L, m),) * 3
     report(
         7,
         ok,
         f"87 + 44 identity instances verified at their stated tolerances "
-        f"in {time.perf_counter() - t0:.1f}s; variants agree exactly",
+        f"in {time.perf_counter() - t0:.1f}s; the three bracket displays agree exactly",
     )
 
 

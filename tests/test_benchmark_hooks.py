@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from flbessel import cli, powerprime, series
+from flbessel import cli, powerprime, series, sumverify
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -61,22 +61,36 @@ def test_cache_hook_has_cache_info(path):
     assert hasattr(_resolve(path), "cache_info")
 
 
+def _counting(calls: Counter, name: str, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_fold_and_evaluation_hooks_stay_on_their_paths(monkeypatch, capsys):
     # the tracer rebinds module-level names; the power fold must still reach
     # the Legendre table through ``monomials`` and ``bench`` must evaluate
     # through ``eval_series``
     calls = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     for owner, attr in ((powerprime, "monomials"), (powerprime, "to_power_series"),
                         (series, "eval_series")):
-        monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
+        monkeypatch.setattr(owner, attr, _counting(calls, attr, getattr(owner, attr)))
     assert cli.main(["power", "J", "0", "1", "--max-power", "4", "--terms", "3"]) == 0
     assert cli.main(["bench", "--which", "j1", "--grid", "3"]) == 0
     capsys.readouterr()
     assert calls == {"monomials": 3, "to_power_series": 1, "eval_series": 3}
+
+
+def test_verify_hooks_stay_on_its_path(monkeypatch, capsys):
+    # each term that survives the vanished head builds its bracket through
+    # ``_brackets`` from three ``pochhammer`` calls (the name in ``sumverify``
+    # that the tracer rebinds) and takes a_L / 2^L from ``_f12``; j1 over
+    # h 0..1 with h+2 terms has two such terms per identity
+    calls = Counter()
+    for attr in ("_brackets", "pochhammer", "_f12"):
+        monkeypatch.setattr(sumverify, attr, _counting(calls, attr, getattr(sumverify, attr)))
+    assert cli.main(["verify", "--family", "j1", "--h-range", "0..1", "--terms", "+2",
+                     "--tol", "1"]) == 0
+    capsys.readouterr()
+    assert calls == {"_brackets": 4, "pochhammer": 12, "_f12": 4}

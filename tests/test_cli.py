@@ -7,7 +7,8 @@ from decimal import Decimal
 
 import pytest
 
-from flbessel.cli import MAX_DIGITS, MAX_GRID, MAX_VERIFY_TERMS, build_parser, main
+from flbessel import sumverify
+from flbessel.cli import MAX_DIGITS, MAX_GRID, build_parser, main
 from refdata import DATA, golden, table1_rows, ulp_of
 
 #: bench, power --factorize and verify outputs, byte for byte, recorded
@@ -151,6 +152,11 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+    # every term is checked against the one Pochhammer bracket
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "j0", "--h-range", "0..1", "--variant", "pochhammer"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --variant" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -183,12 +189,15 @@ def test_usage_errors_exit_2(capsys):
     ("table1", "--rows", "1500"),
     ("table1", "--rows", "401"),
     ("table1", "--rows", "0"),
-    # more than MAX_VERIFY_TERMS over all identities, each within the cap
+    # fewer than h+1 terms at the top of the range: refused before h = 0 is
+    # summed, and before the weight is added up over a huge range
+    ("verify", "--family", "j0", "--h-range", "0..5", "--terms", "3"),
+    ("verify", "--family", "j0", "--h-range", "0..1000000000000", "--terms", "400"),
+    # more than MAX_VERIFY_WEIGHT, the sum of each identity's terms squared,
+    # each identity within the cap: 25 identities of 400 terms ran 5 s
     ("verify", "--family", "j0", "--h-range", "0..399", "--terms", "400"),
     ("verify", "--family", "j1", "--h-range", "0..200", "--terms", "+51"),
     ("verify", "--family", "j0", "--h-range", "0..25", "--terms", "385"),
-    # more than MAX_VERIFY_WEIGHT, the sum of each identity's terms squared:
-    # 25 identities of 400 terms ran 5 s within the 10 000-term total
     ("verify", "--family", "j0", "--h-range", "0..24", "--terms", "400"),
     ("verify", "--family", "j1", "--h-range", "0..6", "--terms", "400"),
     # no terms at all: no identity can be summed, however long the range
@@ -200,7 +209,11 @@ def test_usage_errors_exit_2(capsys):
     ("bench", "--which", "j1", "--grid", "1"),
     ("bench", "--which", "i0", "--grid", "-5"),
 ])
-def test_out_of_range_input_exits_2_before_any_work(capsys, argv):
+def test_out_of_range_input_exits_2_before_any_work(monkeypatch, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("an identity was summed")
+
+    monkeypatch.setattr(sumverify, "verify_identity", no_work)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -230,8 +243,7 @@ def test_term_and_row_counts_at_the_cap_are_accepted(capsys, argv):
 
 
 def test_totals_at_the_command_bounds_are_accepted(capsys):
-    # 125 identities of h + 18 terms, h = 0..124: 125 * 18 + 7750 = 10 000
-    assert MAX_VERIFY_TERMS == 10_000
+    # 125 identities of h + 18 terms, h = 0..124, weigh 962 750
     code, out, _ = run(capsys, "verify", "--family", "j1", "--h-range", "0..124",
                        "--terms", "+18", "--tol", "1")
     assert code == 0

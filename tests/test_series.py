@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flbessel import series
-from flbessel.mpnum import BigReal
+from flbessel.mpnum import DEFAULT_GUARD_DIGITS, BigReal
 from flbessel.series import (
     DigitsExceedPrecision,
     TruncationCapExceeded,
@@ -116,6 +116,16 @@ def test_build_series_threshold_mode():
     s = build_series("J", 0, 1, threshold=F(1, 10**9), precision=34)
     # entries through P_8 only: the first dropped coefficient is 3.68e-10
     assert s.l_max == 8 and len(s.entries) == 5
+
+
+def test_build_series_threshold_is_compared_exactly():
+    # a threshold a hair above |a_L| drops a_L; rounded to 28 digits, it
+    # could fall below a_L's 50-digit value and keep it
+    for L in range(2, 60, 2):
+        a_L = series._coeff_rational("J", L, 0, F(1), 50, DEFAULT_GUARD_DIGITS)
+        s = build_series("J", 0, 1, threshold=abs(a_L) * (1 + F(1, 10**40)),
+                         precision=50)
+        assert s.l_max == L - 2, L
 
 
 def test_build_series_default_threshold():

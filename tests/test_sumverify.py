@@ -1,7 +1,8 @@
-"""Summed-series identities, bracket variants, partial sums, Cauchy checks."""
+"""Summed-series identities, bracket displays, partial sums, Cauchy checks."""
 
 from __future__ import annotations
 
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -23,15 +24,33 @@ from flbessel.sumverify import (
     term_rational,
     verify_identity,
 )
-from oracles import cauchy_check, summed_series_lhs
+from oracles import (
+    MONOMIAL_TERM,
+    affine_at,
+    bracket_displays,
+    bracket_forms,
+    cauchy_check,
+    display_value,
+    gamma_factors_cancel_at_m0,
+    summed_series_lhs,
+    term_ratio,
+)
 from refdata import table1_rows, ulp_of
 
 F = Fraction
 
 
-def spec(family="j0", h=0, k=1, terms=17, precision=50, variant="pochhammer"):
-    return SumSpec(family=family, h=h, k=F(k), L_terms=terms,
-                   precision=precision, variant=variant)
+DISPLAYS = ("pochhammer", "reflected", "gammaform")
+
+
+def spec(family="j0", h=0, k=1, terms=17, precision=50):
+    return SumSpec(family=family, h=h, k=F(k), L_terms=terms, precision=precision)
+
+
+def monomial_term(L, m):
+    """T m! (L!)^2 / (2L)! with T = 2^L [x^(L-2m)] P_L."""
+    T = (-1) ** m * math.comb(L, m) * math.comb(2 * L - 2 * m, L)
+    return F(T * math.factorial(m) * math.factorial(L) ** 2, math.factorial(2 * L))
 
 
 def test_spec_validation():
@@ -39,8 +58,8 @@ def test_spec_validation():
         spec(family="y0")
     with pytest.raises(ValueError):
         spec(h=3, terms=2)  # fewer terms than the vanished head
-    with pytest.raises(ValueError):
-        spec(variant="gamma")
+    with pytest.raises(TypeError):
+        SumSpec(family="j0", h=0, k=F(1), L_terms=1, variant="pochhammer")
 
 
 def test_bracket_variants_agree_randomly():
@@ -50,8 +69,7 @@ def test_bracket_variants_agree_randomly():
         fam = rng.choice(("j0", "j1"))
         L = 2 * rng.randint(h, h + 40) + (1 if fam == "j1" else 0)
         m = (L - (1 if fam == "j1" else 0)) // 2 - h
-        poch, refl, gamm = _brackets(fam, L, h, m)
-        assert poch == refl == gamm
+        assert bracket_forms(fam, L, h, m) == (_brackets(L, m),) * 3
 
 
 def test_bracket_variants_agree_for_every_L_up_to_200():
@@ -59,21 +77,95 @@ def test_bracket_variants_agree_for_every_L_up_to_200():
         for L in range(off, 201, 2):
             for h in range((L - off) // 2 + 1):
                 m = (L - off) // 2 - h
-                poch, refl, gamm = _brackets(fam, L, h, m)
-                assert poch == refl == gamm, (fam, L, h)
+                want = monomial_term(L, m)
+                assert bracket_forms(fam, L, h, m) == (want,) * 3, (fam, L, h)
 
 
 @pytest.mark.parametrize("fam, h_hi, terms", [("j0", 42, 74), ("j1", 43, 78)])
 def test_bracket_variants_agree_on_the_benchmark_sweeps(fam, h_hi, terms):
-    # verify --h-range 0..h_hi --terms +terms reaches L = 230 (j0) and 241
-    # (j1); a term builds only the variant it is asked for
+    # verify --h-range 0..h_hi --terms +terms reaches L = 230 (j0) and 241 (j1)
     off = 1 if fam == "j1" else 0
     for h in range(h_hi + 1):
         for L in range(2 * h + off, off + 2 * (h + terms), 2):
             m = (L - off) // 2 - h
-            poch, refl, gamm = _brackets(fam, L, h, m)
-            assert poch == refl == gamm, (fam, L, h)
-            assert _brackets(fam, L, h, m, ("reflected",)) == (refl,)
+            assert bracket_forms(fam, L, h, m) == (_brackets(L, m),) * 3, (fam, L, h)
+
+
+def _same_on_plane(lhs, rhs, N):
+    """Whether two ratios (sign, numerator forms, denominator forms) are the
+    same rational function on the plane L = 2h + N + 2m.
+
+    Cross-multiplied, their difference is a polynomial in (h, m) whose degree
+    in each variable is at most the number of affine factors in either
+    product.  A polynomial of degree at most d in each of two variables that
+    vanishes on a (d+1) x (d+1) grid is zero, so the grid check is a proof.
+    """
+    (s1, num1, den1), (s2, num2, den2) = lhs, rhs
+    left, right = num1 + den2, num2 + den1
+    degree = max(len(left), len(right))
+    for h in range(degree + 1):
+        for m in range(degree + 1):
+            L = 2 * h + N + 2 * m
+            if (s1 * math.prod(affine_at(f, L, h, m) for f in left)
+                    != s2 * math.prod(affine_at(f, L, h, m) for f in right)):
+                return False
+    return True
+
+
+def _sign_on_domain(form, N):
+    """+1 or -1 when the affine form keeps that sign on every step of the
+    induction, L = 2h + N + 2m with h >= 1 and m >= 0; 0 when it may not."""
+    cL, ch, cm, c0 = form
+    dh, dm = 2 * cL + ch, 2 * cL + cm
+    corner = dh + N * cL + c0  # the value at h = 1, m = 0
+    if dh >= 0 and dm >= 0 and corner > 0:
+        return 1
+    if dh <= 0 and dm <= 0 and corner < 0:
+        return -1
+    return 0
+
+
+@pytest.mark.parametrize("family", ["j0", "j1"])
+def test_every_bracket_display_equals_the_monomial_term_for_all_L_h_m(family):
+    # A term-ratio certificate (Petkovsek, Wilf & Zeilberger, A = B, 1996):
+    # every display F and the monomial term R = T m! (L!)^2 / (2L)! are 1 at
+    # m = 0, and F(L, h-1, m+1) / F(L, h, m) is the same rational function
+    # as R's, with no factor that vanishes on the plane where h >= 1.  By
+    # induction on m at fixed L, F = R for every (L, h, m).
+    N = ("j0", "j1").index(family)
+    # both ratios are -(L-2m)(L-2m-1) / (2 (2L-2m-1))
+    stated = (-1, [(1, 0, -2, 0), (1, 0, -2, -1)], [(0, 0, 0, 2), (2, 0, -2, -1)])
+    target = term_ratio(MONOMIAL_TERM)
+    assert gamma_factors_cancel_at_m0(MONOMIAL_TERM, N)
+    assert _same_on_plane(target, stated, N)
+    displays = bracket_displays(N)
+    assert tuple(displays) == DISPLAYS
+    assert _same_on_plane(term_ratio(displays["pochhammer"]), stated, N)
+    for name, display in displays.items():
+        assert gamma_factors_cancel_at_m0(display, N), name
+        ratio = term_ratio(display)
+        assert _same_on_plane(ratio, target, N), name
+        for form in ratio[1] + ratio[2] + target[1] + target[2]:
+            assert _sign_on_domain(form, N), (name, form)
+
+
+def test_term_ratio_matches_the_display_values():
+    # the certificate's ratios are read off the displays' Gamma factors; a
+    # slip in that reading would prove a statement about other displays
+    for fam, N in (("j0", 0), ("j1", 1)):
+        displays = {**bracket_displays(N), "monomial": MONOMIAL_TERM}
+        for name, display in displays.items():
+            sign, num, den = term_ratio(display)
+            for L in range(N + 2, N + 41, 2):
+                for m in range((L - N) // 2):
+                    h = (L - N) // 2 - m
+                    got = (display_value(display, L, h - 1, m + 1)
+                           / display_value(display, L, h, m))
+                    want = sign * F(math.prod(affine_at(f, L, h, m) for f in num),
+                                    math.prod(affine_at(f, L, h, m) for f in den))
+                    assert got == want, (fam, name, L, m)
+                    if name == "monomial":
+                        assert display_value(display, L, h, m) == monomial_term(L, m)
 
 
 @pytest.mark.parametrize("k", [F(1, 2), F(3, 4), F(1), F(3, 2), F(7, 3)])
@@ -90,20 +182,28 @@ def test_term_is_the_coefficient_times_the_bonnet_monomial(k):
 
 
 @pytest.mark.parametrize("family", ["j0", "j1"])
-@pytest.mark.parametrize("variant", ["pochhammer", "reflected", "gammaform"])
+@pytest.mark.parametrize("variant", DISPLAYS)
 def test_a_bracket_off_by_one_part_in_1e60_stops_verify(
     monkeypatch, capsys, family, variant
 ):
-    real = sumverify._brackets
+    # the check against T holds whichever display builds the bracket, and
+    # fires on every term once that display is off by one part in 1e60
+    N = ("j0", "j1").index(family)
+    argv = ["verify", "--family", family, "--h-range", "0..2", "--terms", "+15"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    scale = F(1)
 
-    def perturbed(fam, L, h, m, variants=sumverify.VARIANTS):
+    def display(L, m):
         # exact up to L = 20, so the check of every term is what fires
-        scale = 1 + F(1, 10**60) if L > 20 else 1
-        return tuple(b * scale for b in real(fam, L, h, m, variants))
+        value = bracket_forms(family, L, (L - N) // 2 - m, m)[DISPLAYS.index(variant)]
+        return value * scale if L > 20 else value
 
-    monkeypatch.setattr(sumverify, "_brackets", perturbed)
-    code = main(["verify", "--family", family, "--h-range", "0..2",
-                 "--terms", "+15", "--variant", variant])
+    monkeypatch.setattr(sumverify, "_brackets", display)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    scale = 1 + F(1, 10**60)
+    code = main(argv)
     out = capsys.readouterr()
     assert code == 3
     assert out.out == ""
@@ -197,11 +297,18 @@ def test_even_only_display_transcribed_literally_is_half_the_term():
 
 
 def test_variants_give_identical_sums():
-    vals = {
-        v: summed_series_lhs(spec(family="j0", h=3, terms=40, variant=v))
-        for v in ("pochhammer", "reflected", "gammaform")
-    }
-    assert vals["pochhammer"] == vals["reflected"] == vals["gammaform"]
+    # each display, in place of T m! (L!)^2 / (2L)!, gives the same exact sum
+    sp = spec(family="j0", h=3, terms=40)
+    want = partial_sums_rational(sp)[-1]
+    f = math.factorial
+    for index in range(len(DISPLAYS)):
+        total = F(0)
+        for L in range(6, 80, 2):
+            m = L // 2 - 3
+            bracket = bracket_forms("j0", L, 3, m)[index]
+            a_over_2L = sumverify._f12(0, L, sp.k, sp.precision, DEFAULT_GUARD_DIGITS)
+            total += a_over_2L * bracket * f(2 * L) / (f(m) * f(L) ** 2)
+        assert total == want, DISPLAYS[index]
 
 
 def test_identity_suite_small_h_all_scales():
