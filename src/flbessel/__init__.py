@@ -13,7 +13,6 @@ from .mpnum import (
     BigReal,
     NotNearInteger,
     PrimePowers,
-    Rat,
     binomial,
     factorize_reciprocal,
     pochhammer,
@@ -77,7 +76,6 @@ __all__ = [
     "NotNearInteger",
     "PowerSeries",
     "PrimePowers",
-    "Rat",
     "SumSpec",
     "TermCapExceeded",
     "TruncationCapExceeded",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -205,8 +206,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     h_lo, h_hi = _parse_h_range(args.h_range)
     k = _parse_scale(args.k, args.digits, "k")
     tol = _parse_rational(args.tol)
+    if not re.fullmatch(r"\+?[0-9]+", args.terms):
+        raise UsageError("--terms must be N or +N with N a positive integer")
     plus = args.terms.startswith("+")
-    base_terms = int(args.terms.lstrip("+"))
+    base_terms = int(args.terms)
     if base_terms < 1:
         raise UsageError("--terms must be at least 1")
 

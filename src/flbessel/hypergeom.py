@@ -21,12 +21,13 @@ the way (the idea behind binary splitting, Haible & Papanikolaou 1998, used
 here term by term); ``Fraction(T, Q)`` at the end is the one reduction.
 
 Termination: stop once two consecutive terms after the first are each below
-10^-(precision + guard) times the current partial-sum magnitude, decided
-exactly on the integers.  The rule is relative to |S| with no floor, so a
-sum far below one (the regularized 2F3 of a high order) still gets its
-precision + guard digits; a zero term is always small.  A single small term
-is not trusted because the coefficient-family series alternate in sign and
-an individual term can be accidentally tiny.
+10^-digits times the current partial-sum magnitude |S|, decided exactly on
+the integers, where the callers that start a sum choose digits = precision
++ ``DEFAULT_GUARD_DIGITS``.  The rule is relative to |S| with no floor, so a
+sum far below one (the regularized 2F3 of a high order) still gets all its
+digits; a zero term is always small.  A single small term is not trusted
+because the coefficient-family series alternate in sign and an individual
+term can be accidentally tiny.
 
 The regularized variant divides each lower parameter's contribution by a
 gamma function instead of a Pochhammer, which keeps the sum finite when a
@@ -104,9 +105,7 @@ def plain_terms(
         n += 1
 
 
-def sum_terms(
-    factors: Iterable[tuple[int, int]], precision: int, guard: int, cap: int
-) -> Fraction:
+def sum_terms(factors: Iterable[tuple[int, int]], digits: int, cap: int) -> Fraction:
     """Exact partial sum of the series ``factors`` describes.
 
     ``factors`` yields the first term and then the term ratios as integer
@@ -115,11 +114,12 @@ def sum_terms(
     end is the only reduction.
 
     The first term is always taken.  The sum stops after two later terms in
-    a row fall below 10^-(precision + guard) * |S|, that is
-    10^(precision + guard) |P| < |T|, or are zero; a term past index ``cap``
-    (counting the first as 0) raises :class:`TermCapExceeded`.
+    a row fall below 10^-digits * |S|, that is 10^digits |P| < |T|, or are
+    zero; a term past index ``cap`` (counting the first as 0) raises
+    :class:`TermCapExceeded`.  Callers pass digits = precision +
+    ``DEFAULT_GUARD_DIGITS``.
     """
-    scale = 10 ** (precision + guard)
+    scale = 10**digits
     scale_bits = scale.bit_length()
     factors = iter(factors)
     P, Q = next(factors, (0, 1))
@@ -139,7 +139,7 @@ def sum_terms(
 
 def _is_small(P: int, T: int, scale: int, scale_bits: int) -> bool:
     """Exactly whether P == 0 or scale * |P| < |T|: the term P/Q is below
-    10^-(precision + guard) of the partial sum T/Q (Q cancels).
+    10^-digits of the partial sum T/Q (Q cancels).
 
     The bit length of scale * |P| is the sum of the two bit lengths or one
     less, so bit lengths settle every case but a near tie, which is compared
@@ -161,13 +161,13 @@ def plain_sum_rational(
     lower: tuple[Fraction, ...],
     z: Fraction,
     precision: int,
-    guard: int = DEFAULT_GUARD_DIGITS,
 ) -> Fraction:
     """Exact partial sum of pFq meeting the two-small-terms rule."""
     for b in lower:
         if _is_nonpositive_int(b):
             raise LowerParamPole(f"lower parameter {b} is a nonpositive integer")
-    return sum_terms(plain_terms(upper, lower, z), precision, guard, term_cap(precision))
+    return sum_terms(plain_terms(upper, lower, z), precision + DEFAULT_GUARD_DIGITS,
+                     term_cap(precision))
 
 
 def regularized_sum_rational(
@@ -175,7 +175,6 @@ def regularized_sum_rational(
     lower: tuple[Fraction, ...],
     z: Fraction,
     precision: int,
-    guard: int = DEFAULT_GUARD_DIGITS,
 ) -> tuple[Fraction, int]:
     """Exact regularized sum as ``(q, s)`` with value q * sqrt(pi)^s.
 
@@ -206,4 +205,5 @@ def regularized_sum_rational(
     first *= z**n0 / math.factorial(n0)
 
     terms = plain_terms(upper, lower, z, first, n0)
-    return sum_terms(terms, precision, guard, term_cap(precision) + 1), sqrtpi_power
+    digits = precision + DEFAULT_GUARD_DIGITS
+    return sum_terms(terms, digits, term_cap(precision) + 1), sqrtpi_power

@@ -1,18 +1,11 @@
 """Exact and arbitrary-precision arithmetic primitives.
 
-Everything downstream rests on two carriers:
-
-``Rat``
-    An exact integer ratio.  This is ``fractions.Fraction`` verbatim: it is
-    always in lowest terms, keeps a positive denominator, and represents zero
-    as 0/1, which is exactly the contract we need.
-
-``BigReal``
-    An immutable arbitrary-precision real: a ``decimal.Decimal`` value that
-    has been rounded (half-even) to a stated number of significant decimal
-    digits, together with that digit count.  A ``BigReal`` is canonical --
-    the stored value carries no hidden digits beyond ``precision`` -- so
-    rendering to text and parsing back is the identity.
+Everything downstream computes on exact ``fractions.Fraction`` values and
+rounds once, into a ``BigReal``: an immutable arbitrary-precision real, a
+``decimal.Decimal`` value that has been rounded (half-even) to a stated
+number of significant decimal digits, together with that digit count.  A
+``BigReal`` is canonical -- the stored value carries no hidden digits beyond
+``precision`` -- so rendering to text and parsing back is the identity.
 
 On top of those sit the small number-theoretic helpers the series machinery
 needs: gamma at integer and half-integer arguments (exact, with the
@@ -31,16 +24,14 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_05UP, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
-Rat = Fraction
-
 #: Extra working digits carried by intermediate computations.  Displayed
 #: coefficients converge only when summation runs well past the display
 #: precision, so every routine that rounds to ``precision`` digits computes
 #: with ``precision + DEFAULT_GUARD_DIGITS`` first.
 DEFAULT_GUARD_DIGITS = 16
 
-#: Default factor base: trial division runs over primes up to this bound.
-DEFAULT_PRIME_BOUND = 19
+#: Factor base: trial division runs over primes up to this bound.
+PRIME_BOUND = 19
 
 
 class NotNearInteger(ValueError):
@@ -271,9 +262,8 @@ class PrimePowers:
         return 0
 
 
-def nearest_integer_gap(c: BigReal | Fraction) -> tuple[int, Fraction]:
-    """Nearest integer to 1/|c| and the exact distance to it."""
-    q = c if isinstance(c, Fraction) else c.to_fraction()
+def nearest_integer_gap(q: Fraction) -> tuple[int, Fraction]:
+    """Nearest integer to 1/|q| and the exact distance to it."""
     if q == 0:
         raise ValueError("cannot take the reciprocal of zero")
     r = 1 / abs(q)
@@ -281,28 +271,19 @@ def nearest_integer_gap(c: BigReal | Fraction) -> tuple[int, Fraction]:
     return nearest, abs(r - nearest)
 
 
-def factorize_reciprocal(
-    c: BigReal | Fraction,
-    rounding_tol: BigReal | Fraction | Decimal,
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-) -> PrimePowers:
-    """Round 1/|c| to an integer and trial-divide it over small primes.
+def factorize_reciprocal(c: BigReal | Fraction, tol: Fraction) -> PrimePowers:
+    """Round 1/|c| to an integer and trial-divide it over the primes up to
+    ``PRIME_BOUND``.
 
-    ``rounding_tol`` bounds the fractional distance between 1/|c| and the
+    ``tol`` bounds the fractional distance between 1/|c| and the
     nearest integer (so it must lie strictly inside (0, 1/2): a gap of 1/2
     would make "nearest" meaningless).  A gap beyond the tolerance raises
     :class:`NotNearInteger` -- the series behind ``c`` has not converged far
     enough.  A leftover factor above the prime bound is not an error; it is
     reported in the result.
     """
-    if isinstance(rounding_tol, BigReal):
-        tol = rounding_tol.to_fraction()
-    elif isinstance(rounding_tol, Decimal):
-        tol = Fraction(rounding_tol)
-    else:
-        tol = Fraction(rounding_tol)
     if not (0 < tol < Fraction(1, 2)):
-        raise ValueError("rounding_tol must lie in (0, 1/2)")
+        raise ValueError("tol must lie in (0, 1/2)")
 
     q = c if isinstance(c, Fraction) else c.to_fraction()
     if q == 0:
@@ -316,7 +297,7 @@ def factorize_reciprocal(
 
     n = nearest
     exps = []
-    for p in primes_up_to(prime_bound):
+    for p in primes_up_to(PRIME_BOUND):
         e = 0
         while n % p == 0:
             n //= p

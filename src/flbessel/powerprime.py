@@ -18,19 +18,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 from .legendre import monomials
 from .mpnum import (
     BigReal,
-    DEFAULT_PRIME_BOUND,
     NotNearInteger,
     PrimePowers,
     factorize_reciprocal,
     nearest_integer_gap,
 )
 from .series import FLSeries
+
+#: Largest distance between a reciprocal and its nearest integer that
+#: ``certify_prime_structure`` accepts.
+CERTIFY_TOL = Fraction(1, 10**6)
 
 
 @dataclass(frozen=True)
@@ -167,12 +169,11 @@ def exact_power_series(
     )
 
 
-def certify_prime_structure(
-    p: PowerSeries,
-    tol: Fraction | Decimal | BigReal = Fraction(1, 10**6),
-    prime_bound: int = DEFAULT_PRIME_BOUND,
-) -> FactorReport:
+def certify_prime_structure(p: PowerSeries) -> FactorReport:
     """Factor the reciprocal of every coefficient over small primes.
+
+    An entry is certified when its reciprocal lies within ``CERTIFY_TOL`` of
+    an integer.
 
     The scale's k^m is divided out first so the certificate targets the
     scale-free part.  Failures are recorded per entry, never raised.
@@ -187,7 +188,7 @@ def certify_prime_structure(
             continue
         nearest, gap = nearest_integer_gap(q)
         try:
-            factors = factorize_reciprocal(q, tol, prime_bound)
+            factors = factorize_reciprocal(q, CERTIFY_TOL)
         except NotNearInteger:
             factors = None
         entries.append(

@@ -138,8 +138,7 @@ def reduced_parameters(
 
 
 def coeff_rational_reduced(
-    L: int, N: int, k: Fraction, z: Fraction, sigma: int,
-    precision: int, guard: int = DEFAULT_GUARD_DIGITS,
+    L: int, N: int, k: Fraction, z: Fraction, sigma: int, precision: int
 ) -> Fraction:
     """The reduced-order 1F2 route, valid for N in {0, 1} only.
 
@@ -153,12 +152,11 @@ def coeff_rational_reduced(
         * binomial(L, (L - N) // 2)
         / gamma_half_exact(L + 1)
     )
-    return pref * plain_sum_rational(*reduced_parameters(L, N), z, precision, guard)
+    return pref * plain_sum_rational(*reduced_parameters(L, N), z, precision)
 
 
 def coeff_rational_general(
-    L: int, N: int, k: Fraction, z: Fraction, sigma: int,
-    precision: int, guard: int = DEFAULT_GUARD_DIGITS,
+    L: int, N: int, k: Fraction, z: Fraction, sigma: int, precision: int
 ) -> Fraction:
     """The regularized 2F3 route, finite for every N (including N > L)."""
     upper = (Fraction(L + 1, 2), Fraction(L + 2, 2))
@@ -167,7 +165,7 @@ def coeff_rational_general(
         Fraction((L - N) // 2 + 1),
         Fraction((L + N) // 2 + 1),
     )
-    q, sqrtpi_power = regularized_sum_rational(upper, lower, z, precision, guard)
+    q, sqrtpi_power = regularized_sum_rational(upper, lower, z, precision)
     # Exactly one lower parameter is half-integer, so the regularized sum
     # carries 1/sqrt(pi) and the prefactor's sqrt(pi) cancels it.
     if q != 0 and sqrtpi_power != -1:
@@ -182,39 +180,25 @@ def coeff_rational_general(
 
 
 @lru_cache(maxsize=None)
-def _coeff_rational(
-    kind: str, L: int, N: int, k: Fraction, precision: int, guard: int
-) -> Fraction:
+def _coeff_rational(kind: str, L: int, N: int, k: Fraction, precision: int) -> Fraction:
     """Exact rational value of the P_L coefficient; 0 on parity mismatch."""
     if (L + N) % 2 == 1:
         return Fraction(0)
     sigma, z = _phase_and_argument(kind, L, N, k)
     if N in (0, 1):
-        return coeff_rational_reduced(L, N, k, z, sigma, precision, guard)
-    return coeff_rational_general(L, N, k, z, sigma, precision, guard)
+        return coeff_rational_reduced(L, N, k, z, sigma, precision)
+    return coeff_rational_general(L, N, k, z, sigma, precision)
 
 
-def coeff_a(
-    L: int,
-    N: int,
-    k: Fraction | int,
-    precision: int,
-    guard: int = DEFAULT_GUARD_DIGITS,
-) -> BigReal:
+def coeff_a(L: int, N: int, k: Fraction | int, precision: int) -> BigReal:
     """Coefficient of P_L in the J_N(kx) expansion."""
-    q = _coeff_rational("J", L, N, Fraction(k), precision, guard)
+    q = _coeff_rational("J", L, N, Fraction(k), precision)
     return BigReal.from_fraction(q, precision)
 
 
-def coeff_a_modified(
-    L: int,
-    N: int,
-    k: Fraction | int,
-    precision: int,
-    guard: int = DEFAULT_GUARD_DIGITS,
-) -> BigReal:
+def coeff_a_modified(L: int, N: int, k: Fraction | int, precision: int) -> BigReal:
     """Coefficient of P_L in the I_N(kx) expansion."""
-    q = _coeff_rational("I", L, N, Fraction(k), precision, guard)
+    q = _coeff_rational("I", L, N, Fraction(k), precision)
     return BigReal.from_fraction(q, precision)
 
 
@@ -224,9 +208,8 @@ def build_series(
     k: Fraction | int,
     *,
     l_max: int | None = None,
-    threshold: Fraction | Decimal | None = None,
+    threshold: Fraction | None = None,
     precision: int = 50,
-    guard: int = DEFAULT_GUARD_DIGITS,
 ) -> FLSeries:
     """Assemble the expansion up to L_max or down to a tail threshold.
 
@@ -247,8 +230,8 @@ def build_series(
     start = N % 2
 
     def entry(L: int) -> tuple[int, BigReal, Fraction]:
-        a = coeff(L, N, k, precision, guard)
-        return L, a, _coeff_rational(kind, L, N, k, precision, guard)
+        a = coeff(L, N, k, precision)
+        return L, a, _coeff_rational(kind, L, N, k, precision)
 
     def assemble(rows: list[tuple[int, BigReal, Fraction]]) -> FLSeries:
         return FLSeries(kind, N, k, tuple((L, a) for L, a, _ in rows), precision,
@@ -260,8 +243,7 @@ def build_series(
             raise TruncationCapExceeded(f"more than {TRUNCATION_CAP} entries")
         return assemble([entry(L) for L in degrees])
 
-    thresh = (Fraction(1, 10 ** (precision + 2)) if threshold is None
-              else Fraction(threshold))
+    thresh = Fraction(1, 10 ** (precision + 2)) if threshold is None else threshold
     rows: list[tuple[int, BigReal, Fraction]] = []
     small_run = 0
     L = start
@@ -325,7 +307,6 @@ def maclaurin_ref(
     k: Fraction | int,
     x: Fraction | int,
     precision: int,
-    guard: int = DEFAULT_GUARD_DIGITS,
 ) -> BigReal:
     """Reference value of J_N(kx) or I_N(kx) from the ascending series.
 
@@ -338,7 +319,7 @@ def maclaurin_ref(
     if kind == "J":
         hh = -hh
     terms = plain_terms((), (Fraction(N + 1),), hh, half**N / math.factorial(N))
-    q = sum_terms(terms, precision, guard, 10 * precision + 501)
+    q = sum_terms(terms, precision + DEFAULT_GUARD_DIGITS, 10 * precision + 501)
     return BigReal.from_fraction(q, precision)
 
 

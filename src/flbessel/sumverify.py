@@ -45,11 +45,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
-from .mpnum import BigReal, DEFAULT_GUARD_DIGITS, pochhammer
+from .mpnum import BigReal, pochhammer
 from .powerprime import maclaurin_coefficient
 from .series import _coeff_rational
 
@@ -90,13 +89,13 @@ class VerifyReport:
 
 
 @lru_cache(maxsize=None)
-def _f12(N: int, L: int, k: Fraction, precision: int, guard: int) -> Fraction:
+def _f12(N: int, L: int, k: Fraction, precision: int) -> Fraction:
     """a_L / 2^L for J_N(kx), N in {0, 1}: the reduced 1F2 coefficient route.
 
     ``__wrapped__`` bypasses the coefficient cache of ``series``, which would
     hold every a_L a second time next to this one.
     """
-    return _coeff_rational.__wrapped__("J", L, N, k, precision, guard) / 2**L
+    return _coeff_rational.__wrapped__("J", L, N, k, precision) / 2**L
 
 
 def _brackets(L: int, m: int) -> Fraction:
@@ -112,9 +111,7 @@ def _brackets(L: int, m: int) -> Fraction:
                     a.denominator * b.denominator * c.numerator)
 
 
-def term_rational(
-    spec: SumSpec, L: int, guard: int = DEFAULT_GUARD_DIGITS
-) -> Fraction:
+def term_rational(spec: SumSpec, L: int) -> Fraction:
     """Exact a_L * [x^(2h+N)] P_L at index L (zero for the vanished head)."""
     N = FAMILIES.index(spec.family)
     if L % 2 != N:
@@ -131,7 +128,7 @@ def term_rational(
         raise VariantMismatch(
             f"Pochhammer bracket disagrees with [x^{L - 2 * m}] P_{L} at h={h}"
         )
-    return _f12(N, L, spec.k, spec.precision, guard) * T
+    return _f12(N, L, spec.k, spec.precision) * T
 
 
 def _l_values(spec: SumSpec) -> range:
@@ -139,14 +136,12 @@ def _l_values(spec: SumSpec) -> range:
     return range(start, start + 2 * spec.L_terms, 2)
 
 
-def partial_sums_rational(
-    spec: SumSpec, guard: int = DEFAULT_GUARD_DIGITS
-) -> tuple[Fraction, ...]:
+def partial_sums_rational(spec: SumSpec) -> tuple[Fraction, ...]:
     """Running partial sums S_0, S_1, ... over the spec's term list."""
     total = Fraction(0)
     out = []
     for L in _l_values(spec):
-        total += term_rational(spec, L, guard)
+        total += term_rational(spec, L)
         out.append(total)
     return tuple(out)
 
@@ -156,23 +151,16 @@ def rhs_rational(spec: SumSpec) -> Fraction:
     return maclaurin_coefficient("J", FAMILIES.index(spec.family), spec.h, spec.k)
 
 
-def verify_identity(
-    spec: SumSpec,
-    rel_tol: Fraction | Decimal | BigReal,
-    guard: int = DEFAULT_GUARD_DIGITS,
-) -> VerifyReport:
-    """Compare both sides at relative tolerance ``rel_tol``.
+def verify_identity(spec: SumSpec, tol: Fraction) -> VerifyReport:
+    """Compare both sides; ``passed`` means the relative difference is at
+    most ``tol``.
 
     "Relative" means |lhs - rhs| / |rhs|, computed exactly before rendering.
     Where the right side is exactly 0 (k = 0 with h >= 1), there is nothing
     to scale by, and ``rel_diff`` is the absolute difference |lhs|.
     Failure is an outcome, not an exception.
     """
-    if isinstance(rel_tol, BigReal):
-        tol = rel_tol.to_fraction()
-    else:
-        tol = Fraction(rel_tol)
-    lhs_q = partial_sums_rational(spec, guard)[-1]
+    lhs_q = partial_sums_rational(spec)[-1]
     rhs_q = rhs_rational(spec)
     rel = abs(lhs_q - rhs_q) / abs(rhs_q) if rhs_q else abs(lhs_q)
     return VerifyReport(

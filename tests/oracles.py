@@ -76,15 +76,15 @@ def fraction_terms(
         n += 1
 
 
-def fraction_sum_terms(terms, precision: int, guard: int, cap: int) -> Fraction:
+def fraction_sum_terms(terms, digits: int, cap: int) -> Fraction:
     """The two-small-terms sum on reduced ``Fraction`` terms and partial sums.
 
     The loop that ``hypergeom.sum_terms`` replaced: the first term is always
     taken, the sum stops after two later terms in a row are zero or fall
-    below 10^-(precision + guard) * |S|, and a term past index ``cap``
-    raises ``TermCapExceeded``.
+    below 10^-digits * |S|, and a term past index ``cap`` raises
+    ``TermCapExceeded``.
     """
-    floor = Fraction(1, 10 ** (precision + guard))
+    floor = Fraction(1, 10**digits)
     total = Fraction(0)
     small_run = 0
     for n, term in enumerate(terms):
@@ -292,9 +292,9 @@ def compare_power_series(
     return tuple(out)
 
 
-def summed_series_lhs(spec: SumSpec, guard: int = DEFAULT_GUARD_DIGITS) -> BigReal:
+def summed_series_lhs(spec: SumSpec) -> BigReal:
     """Partial sum of the printed summand over L_terms parity terms."""
-    return BigReal.from_fraction(partial_sums_rational(spec, guard)[-1], spec.precision)
+    return BigReal.from_fraction(partial_sums_rational(spec)[-1], spec.precision)
 
 
 def cauchy_check(

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import re
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flbessel import sumverify
 from flbessel.cli import MAX_DIGITS, MAX_GRID, build_parser, main
@@ -208,6 +213,12 @@ def test_usage_errors_exit_2(capsys):
     ("bench", "--which", "i1", "--grid", "2002"),
     ("bench", "--which", "j1", "--grid", "1"),
     ("bench", "--which", "i0", "--grid", "-5"),
+    # a count that is not N or +N: no sign but one leading +, no spaces
+    ("verify", "--family", "j0", "--h-range", "0..1", "--terms", "++5"),
+    ("verify", "--family", "j0", "--h-range", "0..1", "--terms", " +5"),
+    ("verify", "--family", "j0", "--h-range", "0..1", "--terms", "+-5"),
+    ("verify", "--family", "j0", "--h-range", "0..1", "--terms", "5x"),
+    ("verify", "--family", "j0", "--h-range", "0..1", "--terms", "+"),
 ])
 def test_out_of_range_input_exits_2_before_any_work(monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):
@@ -218,6 +229,42 @@ def test_out_of_range_input_exits_2_before_any_work(monkeypatch, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def run_quietly(*argv):
+    """(exit code, stdout, stderr) of one in-process call, argparse's exits
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+#: ``--terms`` tokens over its own characters and their neighbours: counts
+#: in the grammar up to 20, leading zeros included, and strings outside it.
+TERMS_GRAMMAR = r"\+?[0-9]+"
+terms_tokens = st.one_of(
+    st.builds(lambda plus, zeros, n: plus + "0" * zeros + str(n),
+              st.sampled_from(["", "+"]), st.integers(0, 2), st.integers(0, 20)),
+    st.text(alphabet="+- _0123456789", max_size=5).filter(
+        lambda tok: not re.fullmatch(TERMS_GRAMMAR, tok)),
+)
+
+
+@given(terms_tokens)
+@settings(max_examples=200, deadline=None)
+def test_terms_grammar(tok):
+    got = run_quietly("verify", "--family", "j0", "--h-range", "0..0",
+                      "--terms", tok, "--tol", "1")
+    if not re.fullmatch(TERMS_GRAMMAR, tok):
+        assert got[:2] == (2, "")
+        return
+    canonical = ("+" if tok.startswith("+") else "") + str(int(tok))
+    assert got == run_quietly("verify", "--family", "j0", "--h-range", "0..0",
+                              "--terms", canonical, "--tol", "1")
 
 
 def test_precision_at_the_bound_is_accepted(capsys):

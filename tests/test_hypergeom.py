@@ -124,26 +124,26 @@ def test_sum_terms_stopping_rule_and_cap():
     # the first term is always taken, even when it is itself negligible:
     # terms tiny, 0, 0 stop before the pair after them is read
     pairs = iter([tiny_pair, (0, 1), (1, 1), (5, 1)])
-    assert sum_terms(pairs, 10, 0, 100) == tiny
+    assert sum_terms(pairs, 10, 100) == tiny
     assert list(pairs) == [(5, 1)]
     # one small term is not enough; two in a row are:
     # terms 1, tiny, 1, tiny, tiny, 7
     pairs = [(1, 1), tiny_pair, (10**30, 1), tiny_pair, (1, 1), (7 * 10**30, 1)]
-    assert sum_terms(iter(pairs), 10, 0, 100) == 2 + 3 * tiny
+    assert sum_terms(iter(pairs), 10, 100) == 2 + 3 * tiny
     # terms up to index ``cap`` are allowed, the next one raises:
     # terms 1, 1, tiny, tiny and then 1, 1, 1, tiny, tiny
-    assert sum_terms(iter([(1, 1), (1, 1), tiny_pair, (1, 1)]), 10, 0, 3) == 2 + 2 * tiny
+    assert sum_terms(iter([(1, 1), (1, 1), tiny_pair, (1, 1)]), 10, 3) == 2 + 2 * tiny
     with pytest.raises(TermCapExceeded):
-        sum_terms(iter([(1, 1), (1, 1), (1, 1), tiny_pair, (1, 1)]), 10, 0, 3)
+        sum_terms(iter([(1, 1), (1, 1), (1, 1), tiny_pair, (1, 1)]), 10, 3)
 
 
 def test_a_sum_far_below_one_stops_relative_to_itself():
-    # terms 1e-40, 1e-52, 1e-64, 1e-76, ... at precision + guard = 20: 1e-52
+    # terms 1e-40, 1e-52, 1e-64, 1e-76, ... at digits = 20: 1e-52
     # is 1e-12 of the sum, so it is not small although it is below 1e-20;
     # 1e-64 and 1e-76 are, and the sum stops after reading four items
     pairs = [(1, 10**40)] + [(1, 10**12)] * 6
     seen = []
-    got = sum_terms(counted(pairs, seen), 10, 10, 100)
+    got = sum_terms(counted(pairs, seen), 20, 100)
     assert len(seen) == 4
     assert got == sum(F(1, 10 ** (40 + 12 * j)) for j in range(4))
 
@@ -282,7 +282,7 @@ lower_params = st.fractions(min_value=-6, max_value=12, max_denominator=4).filte
 )
 
 
-def kernel_and_reference(upper, lower, z, first, start, precision, guard, cap):
+def kernel_and_reference(upper, lower, z, first, start, digits, cap):
     """(value, items read) of the integer kernel and of the reference loop;
     the value is the exception class when the cap is hit."""
     results = []
@@ -292,7 +292,7 @@ def kernel_and_reference(upper, lower, z, first, start, precision, guard, cap):
         seen = []
         try:
             value = total(
-                counted(terms(upper, lower, z, first, start), seen), precision, guard, cap
+                counted(terms(upper, lower, z, first, start), seen), digits, cap
             )
         except TermCapExceeded:
             value = TermCapExceeded
@@ -317,7 +317,9 @@ def test_integer_kernel_equals_fraction_reference(
     # a mid-series start never passes a lower parameter's zero
     lower = tuple(b for b in lower if not (b.denominator == 1 and b + start <= 0))
     cap = term_cap(precision)
-    new, ref = kernel_and_reference(upper, lower, z, first, start, precision, guard, cap)
+    new, ref = kernel_and_reference(
+        upper, lower, z, first, start, precision + guard, cap
+    )
     assert new == ref
 
 
@@ -341,7 +343,7 @@ def test_integer_kernel_edge_cases():
     ]
     for upper, lower, z in cases:
         for precision in (5, 50, 300):
-            new, ref = kernel_and_reference(upper, lower, z, F(1), 0, precision, 16, 10**4)
+            new, ref = kernel_and_reference(upper, lower, z, F(1), 0, precision + 16, 10**4)
             assert new == ref
             assert new[0] == plain_sum_rational(upper, lower, z, precision)
 
@@ -359,14 +361,14 @@ def test_regularized_head_matches_fraction_reference(n0):
             head *= z**n0 / math.factorial(n0)
             want = fraction_sum_terms(
                 fraction_terms(upper, lower, z, head, n0),
-                precision, 16, term_cap(precision) + 1,
+                precision + 16, term_cap(precision) + 1,
             )
             assert regularized_sum_rational(upper, lower, z, precision) == (want, -1)
 
 
 @pytest.mark.parametrize("digits", [1, 2, 7, 33, 200])
 def test_a_tie_is_not_small(digits):
-    # 10^digits * |P| == |T| exactly, with precision + guard = digits; bit
+    # 10^digits * |P| == |T| exactly; bit
     # lengths cannot settle these, so the exact comparison decides
     s = 10**digits
     tail = [(1, 10 * s), (1, 1), (1, 1)]
@@ -381,11 +383,11 @@ def test_a_tie_is_not_small(digits):
         # the tie is not small, so the sum stops only after the two small
         # terms behind it: four items are read, not three
         seen = []
-        got = sum_terms(counted(pairs, seen), digits, 0, 100)
+        got = sum_terms(counted(pairs, seen), digits, 100)
         assert len(seen) == 4
-        ref = fraction_sum_terms(running_products(iter(pairs), len(pairs)), digits, 0, 100)
+        ref = fraction_sum_terms(running_products(iter(pairs), len(pairs)), digits, 100)
         assert got == ref
     # one unit below a tie is small: 10^digits * 1 < s + 1 = |T|
     seen = []
-    sum_terms(counted([(1, 1), (1, s), (1, 1), (7, 1)], seen), digits, 0, 100)
+    sum_terms(counted([(1, 1), (1, s), (1, 1), (7, 1)], seen), digits, 100)
     assert len(seen) == 3

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flbessel import series
-from flbessel.mpnum import DEFAULT_GUARD_DIGITS, BigReal
+from flbessel.mpnum import BigReal
 from flbessel.series import (
     DigitsExceedPrecision,
     TruncationCapExceeded,
@@ -56,7 +56,7 @@ def test_coefficients_sum_to_the_value_at_one(kind, N):
     # P_L(1) = 1, so sum_L a_L = J_N(k) (or I_N(k)); at k = 1 the terms past
     # L = 80 are far below 1e-70 of it
     total = sum(
-        series._coeff_rational(kind, L, N, F(1), 50, 16) for L in range(81)
+        series._coeff_rational(kind, L, N, F(1), 50) for L in range(81)
     )
     ref = maclaurin_ref(kind, N, 1, 1, 90).to_fraction()
     assert abs(total - ref) <= abs(ref) * F(1, 10**70)
@@ -122,7 +122,7 @@ def test_build_series_threshold_is_compared_exactly():
     # a threshold a hair above |a_L| drops a_L; rounded to 28 digits, it
     # could fall below a_L's 50-digit value and keep it
     for L in range(2, 60, 2):
-        a_L = series._coeff_rational("J", L, 0, F(1), 50, DEFAULT_GUARD_DIGITS)
+        a_L = series._coeff_rational("J", L, 0, F(1), 50)
         s = build_series("J", 0, 1, threshold=abs(a_L) * (1 + F(1, 10**40)),
                          precision=50)
         assert s.l_max == L - 2, L
@@ -322,7 +322,7 @@ def test_order_ladder_ties_neighbouring_tables(kind, N):
     def table(n):
         if n < 0:
             return [sign * q for q in table(-n)]
-        return [series._coeff_rational(kind, L, n, k, 50, 16) for L in range(top + 1)]
+        return [series._coeff_rational(kind, L, n, k, 50) for L in range(top + 1)]
 
     below, here, above = table(N - 1), table(N), table(N + 1)
     lhs = [(2 * j + 1) * sum(here[j + 1::2], F(0)) for j in range(50)]

@@ -13,7 +13,7 @@ from flbessel import sumverify
 from flbessel.cli import main
 from flbessel.hypergeom import plain_sum_rational
 from flbessel.legendre import monomials
-from flbessel.mpnum import DEFAULT_GUARD_DIGITS, BigReal
+from flbessel.mpnum import BigReal
 from flbessel.powerprime import to_power_series
 from flbessel.series import _coeff_rational, reduced_parameters
 from flbessel.sumverify import (
@@ -177,7 +177,7 @@ def test_term_is_the_coefficient_times_the_bonnet_monomial(k):
         for h in range(21):
             sp = spec(family=fam, h=h, k=k, terms=h + 1)
             for L in range(2 * h + N, 161, 2):
-                a_L = _coeff_rational("J", L, N, k, 50, DEFAULT_GUARD_DIGITS)
+                a_L = _coeff_rational("J", L, N, k, 50)
                 assert term_rational(sp, L) == a_L * table[L][2 * h + N], (fam, h, L)
 
 
@@ -292,7 +292,7 @@ def test_even_only_display_transcribed_literally_is_half_the_term():
                 * gamma_half_exact(L + 1)
             )
         )
-        literal *= plain_sum_rational(*reduced_parameters(L, 0), F(-1, 4), 50, 16)
+        literal *= plain_sum_rational(*reduced_parameters(L, 0), F(-1, 4), 50)
         assert 2 * literal == term_rational(sp, L)
 
 
@@ -306,7 +306,7 @@ def test_variants_give_identical_sums():
         for L in range(6, 80, 2):
             m = L // 2 - 3
             bracket = bracket_forms("j0", L, 3, m)[index]
-            a_over_2L = sumverify._f12(0, L, sp.k, sp.precision, DEFAULT_GUARD_DIGITS)
+            a_over_2L = sumverify._f12(0, L, sp.k, sp.precision)
             total += a_over_2L * bracket * f(2 * L) / (f(m) * f(L) ** 2)
         assert total == want, DISPLAYS[index]
 
