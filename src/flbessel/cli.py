@@ -11,7 +11,6 @@ import argparse
 import functools
 import re
 import sys
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import emit as emit_mod
@@ -27,7 +26,6 @@ _COMPUTATION_ERRORS = (
     NotNearInteger,
     sumverify.VariantMismatch,
     emit_mod.UncertifiedFactorization,
-    emit_mod.DigitsExceedPrecision,
     ZeroDivisionError,
 )
 
@@ -54,20 +52,43 @@ class UsageError(ValueError):
     pass
 
 
-def _check_digits(value: int, name: str) -> None:
-    if value > MAX_DIGITS:
-        raise UsageError(f"{name} must be at most {MAX_DIGITS}")
+#: The two grammars of every number the command line reads, in ASCII digits:
+#: a count N or +N, and a rational P/Q or a decimal whose exponent is group 1.
+_COUNT = re.compile(r"\+?[0-9]+")
+_RATIONAL = re.compile(
+    r"[+-]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE]([+-]?[0-9]+))?)")
+
+
+def _count(text: str, name: str, lo: int, hi: int | None = None) -> int:
+    """A count spelled N or +N, leading zeros allowed, within lo..hi."""
+    if not _COUNT.fullmatch(text):
+        raise UsageError(f"{name} must be N or +N with N in ASCII digits")
+    value = int(text)
+    if value < lo or (hi is not None and value > hi):
+        raise UsageError(f"{name} must be at least {lo}" if hi is None
+                         else f"{name} must be between {lo} and {hi}")
+    return value
+
+
+def _degree(text: str, name: str, order: int) -> int:
+    """A top degree L (or power m) whose table, of the parity of ``order``,
+    keeps at most ``series.TRUNCATION_CAP`` entries."""
+    return _count(text, name, 0, 2 * series.TRUNCATION_CAP - 1 + order % 2)
 
 
 def _parse_rational(text: str) -> Fraction:
-    """'3/2' or an exact decimal like '3.75' or '1e-33'."""
+    """'3/2' or an exact decimal like '3.75' or '1e-33'.
+
+    An exponent beyond ``MAX_DIGITS`` is refused before the power of ten
+    it names is built.
+    """
+    match = _RATIONAL.fullmatch(text)
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(Decimal(text))
-    except (ValueError, InvalidOperation, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse {text!r} as a rational number") from exc
+        if match and abs(int(match[1] or 0)) <= MAX_DIGITS:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise UsageError(f"cannot parse {text!r} as a rational number")
 
 
 def _parse_scale(text: str, digits: int, name: str) -> Fraction:
@@ -87,13 +108,7 @@ def _parse_kind_order(kind: str, order: str) -> tuple[str, int]:
     k = kind.upper()
     if k not in ("J", "I"):
         raise UsageError("kind must be J or I")
-    try:
-        n = int(order)
-    except ValueError as exc:
-        raise UsageError("order must be a nonnegative integer") from exc
-    if n < 0:
-        raise UsageError("order must be a nonnegative integer")
-    return k, n
+    return k, _count(order, "order", 0)
 
 
 def _parse_range(text: str, digits: int) -> tuple[Fraction, Fraction]:
@@ -104,17 +119,9 @@ def _parse_range(text: str, digits: int) -> tuple[Fraction, Fraction]:
 
 
 def _parse_h_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-    else:
-        lo = hi = text
-    try:
-        a, b = int(lo), int(hi)
-    except ValueError as exc:
-        raise UsageError("h range must look like A..B with integers") from exc
-    if a < 0 or b < a:
-        raise UsageError("h range must satisfy 0 <= A <= B")
-    return a, b
+    lo, sep, hi = text.partition("..")
+    a = _count(lo, "--h-range A", 0)
+    return a, _count(hi if sep else lo, "--h-range B", a)
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -127,22 +134,15 @@ def _write(args: argparse.Namespace, text: str) -> None:
         print(text)
 
 
-def _build(kind: str, order: int, k: Fraction, lmax: int | None,
-           threshold: Fraction | None, digits: int) -> series.FLSeries:
-    if lmax is not None and lmax < 0:
-        raise UsageError("--lmax must be nonnegative")
-    if threshold is not None and threshold <= 0:
-        raise UsageError("--threshold must be positive")
-    if lmax is not None:
-        return series.build_series(kind, order, k, l_max=lmax, precision=digits)
-    return series.build_series(kind, order, k, threshold=threshold, precision=digits)
-
-
 def cmd_coeffs(args: argparse.Namespace) -> int:
     kind, order = _parse_kind_order(args.kind, args.order)
     k = _parse_scale(args.k, args.digits, "k")
-    threshold = _parse_rational(args.threshold) if args.threshold else None
-    s = _build(kind, order, k, args.lmax, threshold, args.digits)
+    lmax = None if args.lmax is None else _degree(args.lmax, "--lmax", order)
+    threshold = None if args.threshold is None else _parse_rational(args.threshold)
+    if threshold is not None and threshold <= 0:
+        raise UsageError("--threshold must be positive")
+    s = series.build_series(kind, order, k, l_max=lmax, threshold=threshold,
+                            precision=args.digits)
     if args.format == "json":
         _write(args, emit_mod.emit_json(s))
     else:
@@ -155,7 +155,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     kind, order = _parse_kind_order(args.kind, args.order)
     k = _parse_scale(args.k, args.digits, "k")
     x = _parse_rational(args.x)
-    s = _build(kind, order, k, args.lmax, None, args.digits)
+    lmax = None if args.lmax is None else _degree(args.lmax, "--lmax", order)
+    s = series.build_series(kind, order, k, l_max=lmax, precision=args.digits)
     val = series.eval_series(s, x, args.digits)
     if args.format == "json":
         _write(args, emit_mod.json_line({
@@ -172,13 +173,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_power(args: argparse.Namespace) -> int:
     kind, order = _parse_kind_order(args.kind, args.order)
     k = _parse_scale(args.k, args.digits, "k")
-    if args.max_power < 0:
-        raise UsageError("--max-power must be nonnegative")
-    if args.terms is not None and args.terms < 1:
-        raise UsageError("--terms must be positive")
-    lmax = order % 2 + 2 * (args.terms - 1) if args.terms else args.max_power
+    max_power = _degree(args.max_power, "--max-power", order)
+    lmax = max_power
+    if args.terms is not None:
+        terms = _count(args.terms, "--terms", 1, series.TRUNCATION_CAP)
+        lmax = order % 2 + 2 * (terms - 1)
     s = series.build_series(kind, order, k, l_max=lmax, precision=args.digits)
-    p = powerprime.to_power_series(s, args.max_power)
+    p = powerprime.to_power_series(s, max_power)
     report = powerprime.certify_prime_structure(p) if args.factorize else None
     if args.format == "json":
         out = [emit_mod.emit_json(p)]
@@ -206,12 +207,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     h_lo, h_hi = _parse_h_range(args.h_range)
     k = _parse_scale(args.k, args.digits, "k")
     tol = _parse_rational(args.tol)
-    if not re.fullmatch(r"\+?[0-9]+", args.terms):
-        raise UsageError("--terms must be N or +N with N a positive integer")
+    base_terms = _count(args.terms, "--terms", 1)
     plus = args.terms.startswith("+")
-    base_terms = int(args.terms)
-    if base_terms < 1:
-        raise UsageError("--terms must be at least 1")
 
     def terms_at(h: int) -> int:
         return h + base_terms if plus else base_terms
@@ -255,29 +252,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    if args.table_digits < 1:
-        raise UsageError("--table-digits must be positive")
-    _check_digits(args.table_digits, "--table-digits")
-    if not 1 <= args.rows <= series.TRUNCATION_CAP:
-        raise UsageError(f"--rows must be between 1 and {series.TRUNCATION_CAP}")
+    digits = _count(args.table_digits, "--table-digits", 1, MAX_DIGITS)
     spec = sumverify.SumSpec(
-        family="j0", h=0, k=Fraction(1), L_terms=args.rows,
-        precision=max(args.table_digits + 4, 50),
+        family="j0", h=0, k=Fraction(1),
+        L_terms=_count(args.rows, "--rows", 1, series.TRUNCATION_CAP),
+        precision=max(digits + 4, 50),
     )
     partials = sumverify.partial_sums_rational(spec)
-    rows = [str(BigReal.from_fraction(q, args.table_digits)) for q in partials]
+    rows = [str(BigReal.from_fraction(q, digits)) for q in partials]
     if args.format == "json":
         _write(args, emit_mod.json_line({
             "schema": emit_mod.SCHEMA_VERSION, "type": "constant_term_table",
-            "rows": rows, "precision": args.table_digits}))
+            "rows": rows, "precision": digits}))
     else:
         _write(args, "\n".join(rows))
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if not 2 <= args.grid <= MAX_GRID:
-        raise UsageError(f"--grid must be between 2 and {MAX_GRID}")
+    grid = _count(args.grid, "--grid", 2, MAX_GRID)
     which = args.which.upper()
     kind, order = which[0], int(which[1])
     if args.range:
@@ -291,7 +284,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     s = series.build_series(kind, order, Fraction(1), l_max=lmax,
                             precision=args.digits)
     fl_report, allen_report = series.accuracy_scan(
-        s, lo, hi, args.grid, (which,), precision=args.digits)
+        s, lo, hi, grid, (which,), precision=args.digits)
     if args.format == "json":
         _write(args, "\n".join([
             emit_mod.json_line({"schema": emit_mod.SCHEMA_VERSION,
@@ -329,6 +322,9 @@ def cmd_emit(args: argparse.Namespace) -> int:
     precision = max(args.digits, 50)
     name = emit_mod.default_name(kind, order)
     max_power = 42 if order == 0 else 43
+    digits = (emit_mod.PUBLISHED_LISTING_DIGITS.get(spec_key)
+              if args.emit_digits == "published"
+              else _count(args.emit_digits, "--emit-digits", 1, precision))
     if args.what.startswith("intpower-"):
         # the exact inverse-prime realization: reciprocals of the high
         # powers need ~60 correct digits, beyond any realistic fold
@@ -337,8 +333,6 @@ def cmd_emit(args: argparse.Namespace) -> int:
         text = emit_mod.emit_power_code(
             p, emit_mod.EmitTarget("integer-power", 1, name), report)
     else:
-        digits = (emit_mod.PUBLISHED_LISTING_DIGITS[spec_key]
-                  if args.emit_digits == "published" else int(args.emit_digits))
         s = series.build_series(kind, order, Fraction(1), l_max=lmax,
                                 precision=precision)
         if args.what.startswith("legendre-"):
@@ -357,8 +351,7 @@ def _common_options(parser: argparse.ArgumentParser, top_level: bool) -> None:
     # sub-level copies suppress their defaults so they never clobber values
     # given up front
     suppress = argparse.SUPPRESS
-    parser.add_argument("--digits", type=int,
-                        default=50 if top_level else suppress,
+    parser.add_argument("--digits", default="50" if top_level else suppress,
                         help="working/display precision in significant "
                              f"digits, at most {MAX_DIGITS}")
     parser.add_argument("--format", choices=["text", "json"],
@@ -385,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("order")
     c.add_argument("k")
     g = c.add_mutually_exclusive_group()
-    g.add_argument("--lmax", type=int)
+    g.add_argument("--lmax")
     g.add_argument("--threshold",
                    help="stop once two successive |a_L| fall below this "
                         "absolute bound (default 10^-(digits+2))")
@@ -397,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("order")
     e.add_argument("k")
     e.add_argument("x")
-    e.add_argument("--lmax", type=int)
+    e.add_argument("--lmax")
     _common_options(e, top_level=False)
     e.set_defaults(func=cmd_eval)
 
@@ -405,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind")
     p.add_argument("order")
     p.add_argument("k")
-    p.add_argument("--max-power", type=int, required=True)
-    p.add_argument("--terms", type=int,
+    p.add_argument("--max-power", required=True)
+    p.add_argument("--terms",
                    help="number of Legendre terms folded in")
     p.add_argument("--factorize", action="store_true",
                    help="certify inverse-prime-power structure")
@@ -429,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table1",
                        help="convergence table of the constant-term partial sums")
-    t.add_argument("--rows", type=int, default=17,
+    t.add_argument("--rows", default="17",
                    help=f"partial sums listed, 1 to {series.TRUNCATION_CAP}")
-    t.add_argument("--table-digits", type=int, default=48,
+    t.add_argument("--table-digits", default="48",
                    help=f"digits per row, at most {MAX_DIGITS}")
     _common_options(t, top_level=False)
     t.set_defaults(func=cmd_table1)
@@ -440,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare a short truncation against the classic fits")
     b.add_argument("--which", choices=["j0", "j1", "i0", "i1"], required=True)
     b.add_argument("--range", help="LO..HI (default: the fit's nominal range)")
-    b.add_argument("--grid", type=int, default=121,
+    b.add_argument("--grid", default="121",
                    help=f"grid points, 2 to {MAX_GRID}")
     _common_options(b, top_level=False)
     b.set_defaults(func=cmd_bench)
@@ -458,12 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.digits < 1:
-        parser.error("--digits must be positive")
+    args = build_parser().parse_args(argv)
     try:
-        _check_digits(args.digits, "--digits")
+        args.digits = _count(args.digits, "--digits", 1, MAX_DIGITS)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

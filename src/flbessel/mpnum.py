@@ -255,12 +255,6 @@ class PrimePowers:
     leftover: int
     sign: int
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.exponents:
-            if q == p:
-                return e
-        return 0
-
 
 def nearest_integer_gap(q: Fraction) -> tuple[int, Fraction]:
     """Nearest integer to 1/|q| and the exact distance to it."""

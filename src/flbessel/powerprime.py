@@ -50,12 +50,6 @@ class PowerSeries:
     provenance: int
     precision: int
 
-    def coefficient(self, m: int) -> BigReal | None:
-        for power, c in self.coeffs:
-            if power == m:
-                return c
-        return None
-
 
 @dataclass(frozen=True)
 class FactorEntry:

@@ -80,12 +80,6 @@ class FLSeries:
     precision: int
     exact: tuple[Fraction, ...] = field(default=(), compare=False, repr=False)
 
-    def coefficient(self, L: int) -> BigReal | None:
-        for ell, a in self.entries:
-            if ell == L:
-                return a
-        return None
-
     @property
     def l_max(self) -> int:
         return self.entries[-1][0] if self.entries else -1

@@ -7,12 +7,13 @@ import io
 import json
 import re
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flbessel import sumverify
+from flbessel import series, sumverify
 from flbessel.cli import MAX_DIGITS, MAX_GRID, build_parser, main
 from refdata import DATA, golden, table1_rows, ulp_of
 
@@ -219,12 +220,40 @@ def test_usage_errors_exit_2(capsys):
     ("verify", "--family", "j0", "--h-range", "0..1", "--terms", "+-5"),
     ("verify", "--family", "j0", "--h-range", "0..1", "--terms", "5x"),
     ("verify", "--family", "j0", "--h-range", "0..1", "--terms", "+"),
+    # every count reads N or +N in ASCII digits, not Python's int() grammar
+    ("power", "J", "0", "1", "--max-power", "4", "--terms", "1_0"),
+    ("power", "J", "0", "1", "--max-power", "4", "--terms", " +3"),
+    ("coeffs", "J", "0", "1", "--lmax", "\u0663"),
+    ("table1", "--rows", "+0_2"),
+    ("--digits", " 1_0", "coeffs", "J", "0", "1", "--lmax", "0"),
+    ("verify", "--family", "j0", "--h-range", " 0..1_0"),
+    ("--digits", "0", "coeffs", "J", "0", "1", "--lmax", "0"),
+    # more listing digits than the 50-digit series carries
+    ("emit", "--what", "legendre-j0", "--emit-digits", "60"),
+    # more than series.TRUNCATION_CAP entries: 799 is the top degree for
+    # even N, 800 for odd N
+    ("coeffs", "J", "0", "1", "--lmax", "1000"),
+    ("eval", "J", "0", "1", "1/2", "--lmax", "900"),
+    ("power", "J", "0", "1", "--max-power", "800"),
+    ("power", "J", "1", "1", "--max-power", "801"),
+    ("power", "J", "0", "1", "--max-power", "20000", "--terms", "1"),
+    ("power", "J", "0", "1", "--max-power", "4", "--terms", "401"),
+    # a rational is P/Q or a decimal in ASCII digits, its exponent at most
+    # MAX_DIGITS in size
+    ("coeffs", "J", "0", "Infinity", "--lmax", "0"),
+    ("eval", "J", "0", "1", "NaN", "--lmax", "2"),
+    ("verify", "--family", "j0", "--h-range", "0..0", "--k", "1_0/3"),
+    ("coeffs", "J", "0", "1", "--threshold", " 3 "),
+    ("bench", "--which", "j0", "--range", "0..3/-4"),
+    ("coeffs", "J", "0", "1e-999999999", "--lmax", "0"),
+    ("verify", "--family", "j0", "--h-range", "0..0", "--tol", "1e-10000000"),
 ])
 def test_out_of_range_input_exits_2_before_any_work(monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):
-        raise AssertionError("an identity was summed")
+        raise AssertionError("a series was built or an identity summed")
 
     monkeypatch.setattr(sumverify, "verify_identity", no_work)
+    monkeypatch.setattr(series, "build_series", no_work)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -243,28 +272,77 @@ def run_quietly(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-#: ``--terms`` tokens over its own characters and their neighbours: counts
-#: in the grammar up to 20, leading zeros included, and strings outside it.
-TERMS_GRAMMAR = r"\+?[0-9]+"
-terms_tokens = st.one_of(
+VERIFY_TERMS = ("verify", "--family", "j0", "--h-range", "0..0", "--terms", "{}",
+                "--tol", "1")
+#: One cheap command per count input, the count at ``{}``; only
+#: ``verify --terms`` gives a leading + a meaning (h + N terms).
+COUNT_TEMPLATES = (
+    ("--digits", "{}", "coeffs", "J", "0", "1", "--lmax", "2"),
+    ("--digits", "5", "coeffs", "J", "{}", "1", "--lmax", "2"),
+    ("--digits", "5", "coeffs", "J", "1", "1", "--lmax", "{}"),
+    ("--digits", "5", "power", "J", "0", "1", "--max-power", "{}", "--terms", "2"),
+    ("--digits", "5", "power", "J", "0", "1", "--max-power", "2", "--terms", "{}"),
+    VERIFY_TERMS,
+    ("--digits", "5", "verify", "--family", "j0", "--h-range={}..20",
+     "--terms", "+1", "--tol", "1"),
+    ("--digits", "5", "verify", "--family", "j0", "--h-range=0..{}",
+     "--terms", "+1", "--tol", "1"),
+    ("table1", "--rows", "{}", "--table-digits", "5"),
+    ("table1", "--rows", "2", "--table-digits", "{}"),
+    ("--digits", "5", "bench", "--which", "j0", "--grid", "{}"),
+    ("emit", "--what", "legendre-j0", "--emit-digits", "{}"),
+)
+COUNT_GRAMMAR = r"\+?[0-9]+"
+#: Counts in the grammar up to 20, leading zeros included, and strings
+#: outside it over its own characters and their neighbours.
+count_tokens = st.one_of(
     st.builds(lambda plus, zeros, n: plus + "0" * zeros + str(n),
               st.sampled_from(["", "+"]), st.integers(0, 2), st.integers(0, 20)),
-    st.text(alphabet="+- _0123456789", max_size=5).filter(
-        lambda tok: not re.fullmatch(TERMS_GRAMMAR, tok)),
+    st.text(alphabet="+- _0123456789\u0663", max_size=5).filter(
+        lambda tok: not re.fullmatch(COUNT_GRAMMAR, tok)),
 )
 
 
-@given(terms_tokens)
-@settings(max_examples=200, deadline=None)
-def test_terms_grammar(tok):
-    got = run_quietly("verify", "--family", "j0", "--h-range", "0..0",
-                      "--terms", tok, "--tol", "1")
-    if not re.fullmatch(TERMS_GRAMMAR, tok):
+def fill(template, tok):
+    return [arg.replace("{}", tok) for arg in template]
+
+
+@given(st.sampled_from(COUNT_TEMPLATES), count_tokens)
+@settings(max_examples=400, deadline=None)
+def test_count_grammar(template, tok):
+    got = run_quietly(*fill(template, tok))
+    if not re.fullmatch(COUNT_GRAMMAR, tok):
         assert got[:2] == (2, "")
         return
-    canonical = ("+" if tok.startswith("+") else "") + str(int(tok))
-    assert got == run_quietly("verify", "--family", "j0", "--h-range", "0..0",
-                              "--terms", canonical, "--tol", "1")
+    plus = "+" if tok.startswith("+") and template == VERIFY_TERMS else ""
+    assert got == run_quietly(*fill(template, plus + str(int(tok))))
+
+
+#: Rationals over their own characters: short P/Q and decimal spellings,
+#: and strings outside the grammar.
+RATIONAL_GRAMMAR = (r"[+-]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
+                    r"(?:[eE][+-]?[0-9]+)?)")
+rational_tokens = st.one_of(
+    st.from_regex(r"[+-]?(?:[0-9]{1,3}/[0-9]{1,3}|(?:[0-9]{1,3}\.?[0-9]{0,3}"
+                  r"|\.[0-9]{1,3})(?:[eE][+-]?[0-9]{1,2})?)", fullmatch=True),
+    st.text(alphabet="+-./eE_ 0123456789", max_size=5),
+)
+
+
+@given(rational_tokens)
+@settings(max_examples=300, deadline=None)
+def test_rational_grammar(tok):
+    def verify_at(k):
+        return run_quietly("--digits", "5", "verify", "--family", "j0",
+                           "--h-range", "0..0", "--terms", "1", "--tol", "1",
+                           f"--k={k}")
+
+    got = verify_at(tok)
+    if not re.fullmatch(RATIONAL_GRAMMAR, tok) or re.search(r"/0+$", tok):
+        assert got[:2] == (2, "")
+        return
+    q = Fraction(tok)
+    assert got == verify_at(f"{q.numerator}/{q.denominator}")
 
 
 def test_precision_at_the_bound_is_accepted(capsys):
