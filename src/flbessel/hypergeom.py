@@ -17,8 +17,14 @@ of the Bessel functions -- is generated by :func:`plain_terms` and summed by
 the ratio t_{n+1}/t_n as an unreduced integer numerator and a positive
 integer denominator built from the parameters' numerators and denominators.
 The sum keeps term n as P/Q and the partial sum as T/Q, with no gcd along
-the way (the idea behind binary splitting, Haible & Papanikolaou 1998, used
-here term by term); ``Fraction(T, Q)`` at the end is the one reduction.
+the way; ``Fraction(T, Q)`` at the end is the one reduction.  A long sum is
+not multiplied out one pair at a time: past a head of ``_HEAD`` terms, the
+stretch of pairs that a float estimate places well above the stopping rule
+is multiplied out by binary splitting (Haible & Papanikolaou, "Fast
+multiprecision evaluation of series of rational numbers", 1998), one exact
+integer test certifies that no term of it could have stopped the sum, and
+the plain loop runs on to the stop.  The integers, the stop and the pairs
+read are those of the plain loop.
 
 Termination: stop once two consecutive terms after the first are each below
 10^-digits times the current partial-sum magnitude |S|, decided exactly on
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Iterable
 
 from .mpnum import DEFAULT_GUARD_DIGITS, pochhammer, recip_gamma_exact
@@ -118,14 +125,51 @@ def sum_terms(factors: Iterable[tuple[int, int]], digits: int, cap: int) -> Frac
     zero; a term past index ``cap`` (counting the first as 0) raises
     :class:`TermCapExceeded`.  Callers pass digits = precision +
     ``DEFAULT_GUARD_DIGITS``.
+
+    The integers, the stop and the pairs read are those of the plain loop
+    over one pair at a time; only the order of the products differs:
+
+    * head: the loop runs the first ``_HEAD`` terms, so a short sum never
+      leaves it;
+    * stretch: :func:`_pull` reads pairs while a float estimate says the
+      term is still far above the rule, and :func:`_split` multiplies them
+      out by binary splitting;
+    * certificate: every stretch pair has |p| <= q, so the last stretch
+      term is the smallest and one exact test proves that no stretch term
+      was small (:func:`_certified`); if it fails, the loop redoes the
+      stretch from the head's state;
+    * tail: the loop runs on, from the pair in hand, to the stop.
     """
     scale = 10**digits
     scale_bits = scale.bit_length()
     factors = iter(factors)
     P, Q = next(factors, (0, 1))
-    T = P
-    small_run = 0
-    for n, (p, q) in enumerate(factors, 1):
+    state = _loop(islice(factors, _HEAD), (0, P, Q, P, 0), scale, scale_bits, cap)
+    if state[4] < 2 and state[0] == _HEAD:
+        state, pending = _stretch(factors, state, digits, scale, cap)
+        state = _loop(chain(pending, factors), state, scale, scale_bits, cap)
+    return Fraction(state[3], state[2])
+
+
+#: Terms the plain loop always runs before :func:`sum_terms` splits.
+_HEAD = 48
+
+#: Natural-log room the float estimate of :func:`_pull` keeps above the
+#: stopping rule; it covers the factor 2 of the certificate's room and any
+#: rounding of the float sums many times over.
+_MARGIN = 2.0
+
+#: Longest run of pairs :func:`_split` multiplies out one at a time.
+_LEAF = 32
+
+
+def _loop(pairs, state, scale: int, scale_bits: int, cap: int):
+    """The plain loop over ``pairs`` from ``state`` = (n, P, Q, T, small
+    run), one pair at a time, until the pairs run out or two small terms
+    in a row end the sum (small run 2); returns the new state."""
+    n, P, Q, T, small_run = state
+    for p, q in pairs:
+        n += 1
         if n > cap:
             raise TermCapExceeded(f"no convergence within {cap} terms")
         P *= p
@@ -134,7 +178,85 @@ def sum_terms(factors: Iterable[tuple[int, int]], digits: int, cap: int) -> Frac
         small_run = small_run + 1 if _is_small(P, T, scale, scale_bits) else 0
         if small_run == 2:
             break
-    return Fraction(T, Q)
+    return n, P, Q, T, small_run
+
+
+def _stretch(factors, state, digits: int, scale: int, cap: int):
+    """The loop's state after the stretch that :func:`_pull` reads past
+    the head's ``state``, and the pairs the loop takes next: the pair in
+    hand, or the whole stretch again when :func:`_certified` fails."""
+    n, P, Q, T, _ = state
+    stretch, in_hand = _pull(factors, n, P, T, digits, min(cap, n + scale // 2))
+    if stretch:
+        m = len(stretch)
+        Ps, Qs, Ts = _split(stretch, 0, m)
+        joined = (n + m, P * Ps, Q * Qs, T * Qs + P * Ts, 0)
+        if _certified(joined, scale - m):
+            return joined, in_hand
+    return state, chain(stretch, in_hand)
+
+
+def _pull(factors, n: int, P: int, T: int, digits: int, last: int):
+    """The pairs after term ``n`` whose terms the float estimate puts far
+    above the rule, and the pair in hand that ended the stretch (empty if
+    the pairs ran out).
+
+    The stretch ends at a zero term, a growing one (|p| > q), past index
+    ``last``, or where term k could come within ``_MARGIN`` of
+    10^-digits times the bound (k - n + 1) * max(|S_n|, |t_n|), which no
+    |S_k| of a stretch of shrinking terms exceeds.
+    """
+    stretch = []
+    if P == 0:
+        return stretch, ()
+    log = math.log
+    # log |t_k| - log(10^-digits * max(|S_n|, |t_n|)) - _MARGIN, at k = n
+    room = log(abs(P)) - log(max(abs(P), abs(T))) + digits * log(10) - _MARGIN
+    # room above this needs no log of k - n + 1
+    ample = log(last - n + 1)
+    for k, pair in enumerate(factors, n + 1):
+        p, q = pair
+        a = -p if p < 0 else p
+        if a > q or p == 0 or k > last:
+            return stretch, (pair,)
+        r = a / q  # a float, which loses digits below about 1e-300
+        room += log(r) if r > 1e-300 else log(a) - log(q)
+        if room < ample and room < log(k - n + 1):
+            return stretch, (pair,)
+        stretch.append(pair)
+    return stretch, ()
+
+
+def _split(pairs, lo: int, hi: int) -> tuple[int, int, int]:
+    """Binary splitting of ``pairs[lo:hi]``: (P, Q, T) with P and Q the
+    products of the p and the q, and T/Q the sum of the running products
+    of the ratios, so that the loop's state (P0, Q0, T0) becomes
+    (P0 * P, Q0 * Q, T0 * Q + P0 * T) after these pairs.  Runs of at most
+    ``_LEAF`` pairs are multiplied out one pair at a time."""
+    if hi - lo <= _LEAF:
+        P, Q = pairs[lo]
+        T = P
+        for p, q in pairs[lo + 1:hi]:
+            P *= p
+            Q *= q
+            T = T * q + P
+        return P, Q, T
+    mid = (lo + hi) // 2
+    P1, Q1, T1 = _split(pairs, lo, mid)
+    P2, Q2, T2 = _split(pairs, mid, hi)
+    return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+
+
+def _certified(state, room: int) -> bool:
+    """Whether no term of a stretch of m pairs, each with |p| <= q, that
+    ends in ``state`` was small, given room = 10^digits - m.
+
+    Each stretch term t_k is at least the last, t_K, and each S_k is
+    within (K - k) |t_k| of S_K, so room * |P_K| >= |T_K| with P_K != 0
+    gives 10^digits |t_k| >= |S_k| for every k of the stretch.
+    """
+    _, P, _, T, _ = state
+    return not _is_small(P, T, room, room.bit_length())
 
 
 def _is_small(P: int, T: int, scale: int, scale_bits: int) -> bool:

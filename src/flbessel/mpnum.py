@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_05UP, ROUND_HALF_EVEN, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
 #: Extra working digits carried by intermediate computations.  Displayed
@@ -29,6 +29,14 @@ from fractions import Fraction
 #: precision, so every routine that rounds to ``precision`` digits computes
 #: with ``precision + DEFAULT_GUARD_DIGITS`` first.
 DEFAULT_GUARD_DIGITS = 16
+
+#: log10(2), to turn a bit length into a decimal exponent.
+_LOG10_2 = math.log10(2)
+
+#: A context in which scaling an integer by a power of ten is exact and
+#: signals nothing, so sharing it between threads is safe; ``BigReal``
+#: rounds the result in the caller's context.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 #: Factor base: trial division runs over primes up to this bound.
 PRIME_BOUND = 19
@@ -110,18 +118,42 @@ class BigReal:
     def from_fraction(cls, q: Fraction, precision: int) -> "BigReal":
         """Exact rational -> BigReal, correctly rounded (half-even).
 
-        The division rounds to odd at two guard digits (``ROUND_05UP``): an
-        inexact quotient never ends in 0 or 5, so it cannot turn into a
-        false tie when ``__post_init__`` rounds it half-even to
-        ``precision`` digits.  Only an exact tie ends in ...50.
+        One ``divmod`` of n * 10^s by d gives the mantissa and an exact
+        remainder.  s comes from the bit lengths of n and d, so that the
+        mantissa has ``precision`` or ``precision + 1`` digits; an extra
+        digit is split off into the remainder exactly.  The remainder then
+        decides the half-even rounding and any tie.  The mantissa becomes a
+        ``Decimal`` directly, never through ``str``, which refuses integers
+        of more than 4300 digits.
         """
-        if q == 0:
+        num, d = q.numerator, q.denominator
+        if num == 0:
             return cls(Decimal(0), precision)
-        with localcontext() as ctx:
-            ctx.prec = precision + 2
-            ctx.rounding = ROUND_05UP
-            d = Decimal(q.numerator) / Decimal(q.denominator)
-        return cls(d, precision)
+        n = abs(num)
+        # n / d > 2^(gap - 1) >= 10^j, so the mantissa has at least
+        # ``precision`` digits.  The float product is within 10^-6 of the
+        # exact one for |gap| < 2^33, and no integer of 2^33 bits fits in
+        # memory, so j is the exact floor or, within 10^-6 of an integer,
+        # one less; that costs one more digit to split off.
+        gap = n.bit_length() - d.bit_length()
+        j = math.floor((gap - 1) * _LOG10_2 - 1e-6)
+        s = precision - 1 - j
+        if s >= 0:
+            mantissa, r = divmod(n * 10**s, d)
+        else:
+            d *= 10**-s
+            mantissa, r = divmod(n, d)
+        top = 10**precision
+        while mantissa >= top:
+            mantissa, digit = divmod(mantissa, 10)
+            r += digit * d
+            d *= 10
+            s -= 1
+        if 2 * r > d or (2 * r == d and mantissa & 1):
+            mantissa += 1
+        if num < 0:
+            mantissa = -mantissa
+        return cls(Decimal(mantissa).scaleb(-s, _EXACT), precision)
 
     @classmethod
     def from_int(cls, n: int, precision: int) -> "BigReal":

@@ -7,14 +7,15 @@ instead of the term recurrence, closed forms instead of the Bonnet recurrence, t
 formula instead of the rising product, reduced ``Fraction`` terms,
 Legendre values and fit polynomials instead of unreduced integers, joined
 ``str`` digits instead of a translated byte string, the paper's other two
-bracket displays instead of its Pochhammer one.  None of them is on a
+bracket displays instead of its Pochhammer one, a ``Decimal`` division
+instead of one integer ``divmod``.  None of them is on a
 runtime path.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
+from decimal import ROUND_05UP, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -97,6 +98,22 @@ def fraction_sum_terms(terms, digits: int, cap: int) -> Fraction:
             if small_run == 2:
                 return total
     return total
+
+
+def decimal_from_fraction(q: Fraction, precision: int) -> BigReal:
+    """``q`` rounded half-even to ``precision`` digits through a ``Decimal``
+    division, the route ``BigReal.from_fraction`` replaced.
+
+    The division rounds to odd at two guard digits (``ROUND_05UP``): an
+    inexact quotient never ends in 0 or 5, so it cannot turn into a false
+    tie when ``BigReal`` rounds it half-even to ``precision`` digits.
+    """
+    if q == 0:
+        return BigReal(Decimal(0), precision)
+    with localcontext() as ctx:
+        ctx.prec = precision + 2
+        ctx.rounding = ROUND_05UP
+        return BigReal(Decimal(q.numerator) / Decimal(q.denominator), precision)
 
 
 def leading_coefficient(L: int) -> Fraction:

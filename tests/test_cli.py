@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -32,6 +33,17 @@ def test_coeffs_single_entry(capsys):
     code, out, _ = run(capsys, "--digits", "34", "coeffs", "J", "0", "1", "--lmax", "0")
     assert code == 0
     assert out.split() == ["0", "0.9197304100897602393144211940806200"]
+
+
+def test_coeffs_at_10000_digits_match_the_decimal_route(capsys):
+    # each mantissa has more digits than str() converts (4300 in Python
+    # 3.11); the SHA-256 is of the output of the Decimal-division rounding
+    code, out, err = run(capsys, "--digits", "10000", "coeffs", "J", "0", "1",
+                         "--lmax", "4")
+    assert (code, err) == (0, "")
+    assert [line.split()[0] for line in out.splitlines()] == ["0", "2", "4"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "86057ddee577640b92661882ac16081d529b3de0753118c05d6e0523e898fddb")
 
 
 def test_coeffs_table_row_count(capsys):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flbessel.hypergeom as hypergeom
 from flbessel.hypergeom import (
     LowerParamPole,
     TermCapExceeded,
@@ -391,3 +392,116 @@ def test_a_tie_is_not_small(digits):
     seen = []
     sum_terms(counted([(1, 1), (1, s), (1, 1), (7, 1)], seen), digits, 100)
     assert len(seen) == 3
+
+
+# -- head, stretch, certificate and tail of sum_terms ---------------------------
+
+#: The 2000-digit sums of the paper's tables: the 1F2 of J0 at k = 1,
+#: L = 146 and the regularized 2F3 of J3 at k = 7/3, L = 145, each as
+#: (upper, lower, z, first term, precision).
+TABLE_SUMS = {
+    "1F2 J0 k=1 L=146": ((F(147, 2),), (F(148, 2), F(295, 2)), F(-1, 4), F(1), 2000),
+    "2F3 J3 k=7/3 L=145": (
+        (F(146, 2), F(147, 2)), (F(293, 2), F(72), F(75)), F(-49, 36),
+        recip_gamma_exact(F(293, 2))[0] / (gamma_int_exact(72) * gamma_int_exact(75)),
+        2000,
+    ),
+}
+
+#: Sums that leave the head, each as (upper, lower, z, precision).
+LONG_SUMS = {
+    # terms grow before they shrink
+    "growing z=125/4": ((F(1, 2),), (F(1), F(3, 2)), F(125, 4), 60),
+    "growing z=-900": ((F(1, 2),), (F(1), F(3, 2)), F(-900), 60),
+    # negative non-integer lower parameters: the ratios change sign
+    "sign flips": ((F(1, 2),), (F(-11, 2), F(-7, 3)), F(-5, 4), 300),
+    "sign flips, growing": ((F(7, 3),), (F(-17, 2), F(-1, 3)), F(40), 100),
+    # |t_61 / t_60| > 1 ends the stretch; the loop runs on from there
+    "grows past the head": ((F(1, 2),), (F(-121, 2), F(3, 2)), F(-40), 300),
+}
+
+
+def spy_on_split(monkeypatch) -> list[int]:
+    """The length of every range ``hypergeom._split`` is called on."""
+    splits = []
+    split = hypergeom._split
+
+    def spy(pairs, lo, hi):
+        splits.append(hi - lo)
+        return split(pairs, lo, hi)
+
+    monkeypatch.setattr(hypergeom, "_split", spy)
+    return splits
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SUMS))
+def test_table_sums_equal_the_fraction_reference_and_are_split(name, monkeypatch):
+    upper, lower, z, first, precision = TABLE_SUMS[name]
+    splits = spy_on_split(monkeypatch)
+    new, ref = kernel_and_reference(
+        upper, lower, z, first, 0, precision + 16, term_cap(precision) + 1
+    )
+    assert new == ref
+    # the stretch was multiplied out by binary splitting, not by the loop,
+    # and it covered most of the sum
+    assert splits and splits[0] > new[1] // 2 > hypergeom._HEAD
+
+
+@pytest.mark.parametrize("name", sorted(LONG_SUMS))
+def test_long_sums_equal_the_fraction_reference(name, monkeypatch):
+    upper, lower, z, precision = LONG_SUMS[name]
+    splits = spy_on_split(monkeypatch)
+    new, ref = kernel_and_reference(
+        upper, lower, z, F(1), 0, precision + 16, term_cap(precision)
+    )
+    assert new == ref
+    assert splits
+
+
+def test_a_cap_hit_past_the_head_matches_the_reference(monkeypatch):
+    # t_n = (999/1000)^n shrinks too slowly to stop within the cap: the
+    # stretch runs to the cap and the loop raises on the next pair
+    splits = spy_on_split(monkeypatch)
+    args = ((F(1), F(1)), (F(1),), F(999, 1000), F(1), 0, 30, 400)
+    new, ref = kernel_and_reference(*args)
+    assert new == ref == (TermCapExceeded, 402)
+    assert splits[0] == 400 - hypergeom._HEAD
+
+
+def test_z_zero_stops_in_the_head():
+    new, ref = kernel_and_reference((F(1, 2),), (F(1), F(3, 2)), F(0), F(1), 0, 2016, 20200)
+    assert new == ref == (F(1), 3)
+
+
+def test_a_failed_certificate_redoes_the_stretch(monkeypatch):
+    # a margin of -10^6 makes the estimate pull every pair up to the cap,
+    # far past the stop; the certificate fails, and the loop sums from the
+    # head's state to the stop of the plain loop
+    verdicts = []
+    certified = hypergeom._certified
+
+    def spy(state, room):
+        verdicts.append(certified(state, room))
+        return verdicts[-1]
+
+    monkeypatch.setattr(hypergeom, "_MARGIN", -1e6)
+    monkeypatch.setattr(hypergeom, "_certified", spy)
+    upper, lower, z, first, precision = TABLE_SUMS["1F2 J0 k=1 L=146"]
+    cap = term_cap(precision)
+    new, ref = kernel_and_reference(upper, lower, z, first, 0, precision + 16, cap)
+    assert verdicts == [False]
+    assert new[0] == ref[0]
+    assert new[1] == cap + 2 > ref[1]
+
+
+def test_a_growing_pair_bounds_what_a_wrong_estimate_can_pull(monkeypatch):
+    # terms 1 (49 times), 1e-40, 1e-40, 1, 1, ...: the plain loop stops at
+    # the second tiny term.  With the estimate forced wrong, the stretch
+    # still ends at the first growing pair, so the certificate sees the
+    # tiny terms, fails, and the loop finds that stop
+    monkeypatch.setattr(hypergeom, "_MARGIN", -1e6)
+    pairs = [(1, 1)] * 49 + [(1, 10**40), (1, 1), (10**40, 1)] + [(1, 1)] * 100
+    seen = []
+    got = sum_terms(counted(pairs, seen), 20, 120)
+    assert got == 49 + 2 * F(1, 10**40)
+    assert len(seen) == 52

@@ -22,7 +22,12 @@ from flbessel.mpnum import (
     primes_up_to,
     render_significant,
 )
-from oracles import join_render_significant, pochhammer_reflect, reconstruct
+from oracles import (
+    decimal_from_fraction,
+    join_render_significant,
+    pochhammer_reflect,
+    reconstruct,
+)
 
 
 # -- BigReal -----------------------------------------------------------------
@@ -129,6 +134,66 @@ def test_from_fraction_near_and_exact_ties(digits, data):
     sign = data.draw(st.sampled_from((-1, 1)))
     q = sign * (mant + Fraction(1, 2) + Fraction(nudge, 10**depth)) * scale
     assert BigReal.from_fraction(q, digits).value == _half_even(q, digits)
+
+
+@st.composite
+def rationals_to_round(draw, digits: int) -> Fraction:
+    """Either sign at any scale: any quotient, or mantissa + 1/2 in the last
+    place -- an exact tie, or one nudged by 10^-depth -- with a random
+    mantissa or all nines, which rounding up carries to a new digit."""
+    sign = draw(st.sampled_from((-1, 1)))
+    scale = Fraction(10) ** draw(st.integers(-80, 80))
+    kind = draw(st.sampled_from(("quotient", "tie", "carry")))
+    if kind == "quotient":
+        q = Fraction(draw(st.integers(1, 10**80)), draw(st.integers(1, 10**80)))
+        return sign * q * scale
+    if kind == "tie":
+        mant = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
+    else:
+        mant = 10**digits - 1
+    nudge = Fraction(draw(st.sampled_from((-1, 0, 1))), 10 ** draw(st.integers(1, 40)))
+    return sign * (mant + Fraction(1, 2) + nudge) * scale
+
+
+@given(st.integers(1, 60), st.data())
+@settings(max_examples=500, deadline=None)
+def test_from_fraction_equals_the_decimal_division(digits, data):
+    q = data.draw(rationals_to_round(digits))
+    got, want = BigReal.from_fraction(q, digits), decimal_from_fraction(q, digits)
+    assert got.value == want.value
+    assert str(got) == str(want)
+
+
+def test_from_fraction_carries_and_long_quotients():
+    # 9995/1000 is a tie at 3 digits that carries: 9.995 -> 10.0
+    assert str(BigReal.from_fraction(Fraction(9995, 1000), 3)) == "10.0"
+    assert str(BigReal.from_fraction(Fraction(-9995, 1000), 3)) == "-10.0"
+    # quotients of one digit more than asked: 15 and 25 at one digit are
+    # ties (to even), 16/1000 is not
+    cases = [Fraction(15), Fraction(25), Fraction(16, 1000), Fraction(95, 10**9),
+             Fraction(-35, 7 * 10**6), Fraction(10**40 - 1, 10**40)]
+    for q in cases:
+        for digits in (1, 2, 3):
+            got, want = BigReal.from_fraction(q, digits), decimal_from_fraction(q, digits)
+            assert got.value == want.value and str(got) == str(want)
+    assert str(BigReal.from_fraction(Fraction(15), 1)) == "2e1"
+    assert str(BigReal.from_fraction(Fraction(25), 1)) == "2e1"
+
+
+def test_from_fraction_at_2000_digits_equals_the_decimal_division():
+    rng = random.Random(2000)
+    cases = [Fraction(1, 3), Fraction(-2, 3), Fraction(10**2000 - 1, 10**2000)]
+    for _ in range(30):
+        num = rng.getrandbits(rng.randint(1, 30000)) + 1
+        den = rng.getrandbits(rng.randint(1, 30000)) + 1
+        cases.append(Fraction(rng.choice((-1, 1)) * num, den))
+    mant = rng.randrange(10**1999, 10**2000)
+    for m in (mant, mant + 1, 10**2000 - 1):
+        for nudge in (-1, 0, 1):
+            cases.append((m + Fraction(1, 2) + Fraction(nudge, 10**50)) / 10**1000)
+    for q in cases:
+        got, want = BigReal.from_fraction(q, 2000), decimal_from_fraction(q, 2000)
+        assert got.value == want.value and str(got) == str(want)
 
 
 # -- gamma ---------------------------------------------------------------------
