@@ -453,6 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # argparse reads "--opt=--" as the end of options and leaves an
+        # empty list where the option's string belongs
+        if [] in vars(args).values():
+            raise UsageError("an option's value cannot be '--'")
         args.digits = _count(args.digits, "--digits", 1, MAX_DIGITS)
         return args.func(args)
     except UsageError as exc:

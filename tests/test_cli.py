@@ -11,7 +11,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flbessel import series, sumverify
@@ -259,6 +259,12 @@ def test_usage_errors_exit_2(capsys):
     ("bench", "--which", "j0", "--range", "0..3/-4"),
     ("coeffs", "J", "0", "1e-999999999", "--lmax", "0"),
     ("verify", "--family", "j0", "--h-range", "0..0", "--tol", "1e-10000000"),
+    # argparse leaves an empty list, not a string, for an option given as
+    # --opt=--: a number, a choice and the output path
+    ("verify", "--family", "j0", "--h-range", "0..0", "--k=--"),
+    ("--digits=--", "coeffs", "J", "0", "1", "--lmax", "0"),
+    ("verify", "--family=--", "--h-range", "0..0"),
+    ("coeffs", "J", "0", "1", "--lmax", "0", "--out=--"),
 ])
 def test_out_of_range_input_exits_2_before_any_work(monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):
@@ -342,6 +348,7 @@ rational_tokens = st.one_of(
 
 
 @given(rational_tokens)
+@example("--")
 @settings(max_examples=300, deadline=None)
 def test_rational_grammar(tok):
     def verify_at(k):
