@@ -154,7 +154,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     kind, order = _parse_kind_order(args.kind, args.order)
     k = _parse_scale(args.k, args.digits, "k")
-    x = _parse_rational(args.x)
+    x = _parse_scale(args.x, args.digits, "x")
     lmax = None if args.lmax is None else _degree(args.lmax, "--lmax", order)
     s = series.build_series(kind, order, k, l_max=lmax, precision=args.digits)
     val = series.eval_series(s, x, args.digits)
@@ -451,11 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse reads "--" as the end of options.  It gives "--opt=--" an
+    # empty list (Python 3.11, 3.12) or the string '--' (3.13, checked
+    # against the option's choices before this function sees it), so such
+    # a token is refused unparsed; a second "--" leaves a positional an
+    # empty list.
+    dashes = any(a.startswith("-") and a.endswith("=--") for a in argv)
+    args = None if dashes else build_parser().parse_args(argv)
     try:
-        # argparse reads "--opt=--" as the end of options and leaves an
-        # empty list where the option's string belongs
-        if [] in vars(args).values():
+        if args is None or [] in vars(args).values():
             raise UsageError("an option's value cannot be '--'")
         args.digits = _count(args.digits, "--digits", 1, MAX_DIGITS)
         return args.func(args)

@@ -17,7 +17,9 @@ of the Bessel functions -- is generated by :func:`plain_terms` and summed by
 the ratio t_{n+1}/t_n as an unreduced integer numerator and a positive
 integer denominator built from the parameters' numerators and denominators.
 The sum keeps term n as P/Q and the partial sum as T/Q, with no gcd along
-the way; ``Fraction(T, Q)`` at the end is the one reduction.  A long sum is
+the way, and returns the pair (T, Q) as it stands: rounding it needs only
+the quotient (``BigReal.from_fraction`` divides T by Q once), never lowest
+terms, so no sum is ever reduced.  A long sum is
 not multiplied out one pair at a time: past a head of ``_HEAD`` terms, the
 stretch of pairs that a float estimate places well above the stopping rule
 is multiplied out by binary splitting (Haible & Papanikolaou, "Fast
@@ -112,13 +114,15 @@ def plain_terms(
         n += 1
 
 
-def sum_terms(factors: Iterable[tuple[int, int]], digits: int, cap: int) -> Fraction:
-    """Exact partial sum of the series ``factors`` describes.
+def sum_terms(
+    factors: Iterable[tuple[int, int]], digits: int, cap: int
+) -> tuple[int, int]:
+    """Exact partial sum of the series ``factors`` describes, as (T, Q).
 
     ``factors`` yields the first term and then the term ratios as integer
     pairs (p, q) with q > 0, as :func:`plain_terms` does.  Term n is kept as
-    P/Q and the partial sum as T/Q, all unreduced; ``Fraction(T, Q)`` at the
-    end is the only reduction.
+    P/Q and the partial sum as T/Q, all unreduced, and the sum is returned
+    as that pair, Q > 0, without any gcd.
 
     The first term is always taken.  The sum stops after two later terms in
     a row fall below 10^-digits * |S|, that is 10^digits |P| < |T|, or are
@@ -148,7 +152,7 @@ def sum_terms(factors: Iterable[tuple[int, int]], digits: int, cap: int) -> Frac
     if state[4] < 2 and state[0] == _HEAD:
         state, pending = _stretch(factors, state, digits, scale, cap)
         state = _loop(chain(pending, factors), state, scale, scale_bits, cap)
-    return Fraction(state[3], state[2])
+    return state[3], state[2]
 
 
 #: Terms the plain loop always runs before :func:`sum_terms` splits.
@@ -283,8 +287,9 @@ def plain_sum_rational(
     lower: tuple[Fraction, ...],
     z: Fraction,
     precision: int,
-) -> Fraction:
-    """Exact partial sum of pFq meeting the two-small-terms rule."""
+) -> tuple[int, int]:
+    """Exact partial sum of pFq meeting the two-small-terms rule, as the
+    unreduced pair (T, Q) of :func:`sum_terms`."""
     for b in lower:
         if _is_nonpositive_int(b):
             raise LowerParamPole(f"lower parameter {b} is a nonpositive integer")
@@ -297,8 +302,9 @@ def regularized_sum_rational(
     lower: tuple[Fraction, ...],
     z: Fraction,
     precision: int,
-) -> tuple[Fraction, int]:
-    """Exact regularized sum as ``(q, s)`` with value q * sqrt(pi)^s.
+) -> tuple[tuple[int, int], int]:
+    """Exact regularized sum as ``((T, Q), s)`` with value T/Q * sqrt(pi)^s,
+    the pair unreduced as :func:`sum_terms` returns it.
 
     Lower parameters must be integers or half-integers so the reciprocal
     gammas stay exact.  Nonpositive-integer lower parameters zero out the
@@ -314,7 +320,7 @@ def regularized_sum_rational(
     # nothing to sum.
     for a in upper:
         if _is_nonpositive_int(a) and -int(a) < n0:
-            return Fraction(0), 0
+            return (0, 1), 0
 
     first = Fraction(1)
     for a in upper:

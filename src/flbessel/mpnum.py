@@ -115,8 +115,14 @@ class BigReal:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_fraction(cls, q: Fraction, precision: int) -> "BigReal":
+    def from_fraction(
+        cls, q: Fraction | tuple[int, int], precision: int
+    ) -> "BigReal":
         """Exact rational -> BigReal, correctly rounded (half-even).
+
+        ``q`` is a ``Fraction`` or a pair (n, d) with d > 0 standing for
+        n/d in any terms: the rounding needs the quotient, not lowest
+        terms, so an unreduced sum is rounded as it stands.
 
         One ``divmod`` of n * 10^s by d gives the mantissa and an exact
         remainder.  s comes from the bit lengths of n and d, so that the
@@ -126,7 +132,7 @@ class BigReal:
         ``Decimal`` directly, never through ``str``, which refuses integers
         of more than 4300 digits.
         """
-        num, d = q.numerator, q.denominator
+        num, d = q if isinstance(q, tuple) else (q.numerator, q.denominator)
         if num == 0:
             return cls(Decimal(0), precision)
         n = abs(num)

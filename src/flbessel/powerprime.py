@@ -104,7 +104,7 @@ def to_power_series(s: FLSeries, max_power: int) -> PowerSeries:
     for m in range(s.order % 2, max_power + 1, 2):
         total = sum(A * row[m] for row, A in rows if m < len(row))
         coeffs.append(
-            (m, BigReal.from_fraction(Fraction(total, D << top), s.precision))
+            (m, BigReal.from_fraction((total, D << top), s.precision))
         )
     return PowerSeries(
         kind=s.kind,

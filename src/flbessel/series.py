@@ -16,7 +16,9 @@ finite.
 For N = 0 and N = 1 a parameter collision reduces the order to a plain 1F2
 with an exact rational prefactor; both orders N in {0, 1} use that faster
 path.  In every case the final coefficient is an exact rational (the
-sqrt(pi) factors cancel analytically), rounded once at the end.
+sqrt(pi) factors cancel analytically), rounded once at the end.  It is
+carried as an unreduced integer pair (n, d), d > 0, straight from the sum
+to that rounding: no gcd of the sum's integers is ever taken.
 
 The modified-function coefficients are the same formula with argument
 +k^2/4 and sigma = +1: substituting an imaginary scale into the J series
@@ -68,8 +70,9 @@ class FLSeries:
 
     ``entries`` holds (L, a_L) pairs with L = N (mod 2) ascending; the
     opposite parity is absent rather than stored as zero.  ``exact`` holds
-    the unrounded rational value of each entry, in the same order, when the
-    series was assembled from them; it takes no part in equality, and a
+    the unrounded value of each entry, in the same order, as the integer
+    pair (n, d), d > 0, of ``_coeff_rational``, not in lowest terms, when
+    the series was assembled from them; it takes no part in equality, and a
     series without it stands for the rounded values its entries print.
     """
 
@@ -78,7 +81,8 @@ class FLSeries:
     k: Fraction
     entries: tuple[tuple[int, BigReal], ...]
     precision: int
-    exact: tuple[Fraction, ...] = field(default=(), compare=False, repr=False)
+    exact: tuple[tuple[int, int], ...] = field(default=(), compare=False,
+                                               repr=False)
 
     @property
     def l_max(self) -> int:
@@ -86,14 +90,15 @@ class FLSeries:
 
     @cached_property
     def common_form(self) -> tuple[int, dict[int, int]]:
-        """(D, {L: A_L}) with a_L = A_L / D exactly, D the least common
-        denominator: the whole table as integers over one denominator, so
-        that every fold over it is an integer sum with one division."""
-        values = self.exact or tuple(a.to_fraction() for _, a in self.entries)
-        den = math.lcm(*(q.denominator for q in values))
+        """(D, {L: A_L}) with a_L = A_L / D exactly, D a common
+        denominator (the lcm of the denominators the entries come with):
+        the whole table as integers over one denominator, so that every
+        fold over it is an integer sum with one division."""
+        values = self.exact or tuple(
+            a.to_fraction().as_integer_ratio() for _, a in self.entries)
+        den = math.lcm(*(d for _, d in values))
         return den, {
-            L: q.numerator * (den // q.denominator)
-            for (L, _), q in zip(self.entries, values)
+            L: n * (den // d) for (L, _), (n, d) in zip(self.entries, values)
         }
 
 
@@ -131,13 +136,23 @@ def reduced_parameters(
     return (Fraction(L + N + 1, 2),), (Fraction(L + N + 2, 2), Fraction(2 * L + 3, 2))
 
 
+def _scaled(f: Fraction, pair: tuple[int, int]) -> tuple[int, int]:
+    """f * n/d as an unreduced pair, after the two cross-cancellations of
+    ``Fraction.__mul__``: gcd(f's numerator, d) and gcd(n, f's denominator),
+    each of a huge and a small integer, never the gcd of n and d."""
+    a, b = f.numerator, f.denominator
+    n, d = pair
+    g1, g2 = math.gcd(a, d), math.gcd(n, b)
+    return (a // g1) * (n // g2), (b // g2) * (d // g1)
+
+
 def coeff_rational_reduced(
     L: int, N: int, k: Fraction, z: Fraction, sigma: int, precision: int
-) -> Fraction:
+) -> tuple[int, int]:
     """The reduced-order 1F2 route, valid for N in {0, 1} only.
 
     sqrt(pi)/Gamma(L+3/2) folds into the rational prefactor, so the whole
-    value is an exact rational.
+    value is an exact rational, returned as an unreduced pair.
     """
     pref = (
         Fraction(2 * (2 * L + 1), 2 ** (2 * L + 2))
@@ -146,13 +161,14 @@ def coeff_rational_reduced(
         * binomial(L, (L - N) // 2)
         / gamma_half_exact(L + 1)
     )
-    return pref * plain_sum_rational(*reduced_parameters(L, N), z, precision)
+    return _scaled(pref, plain_sum_rational(*reduced_parameters(L, N), z, precision))
 
 
 def coeff_rational_general(
     L: int, N: int, k: Fraction, z: Fraction, sigma: int, precision: int
-) -> Fraction:
-    """The regularized 2F3 route, finite for every N (including N > L)."""
+) -> tuple[int, int]:
+    """The regularized 2F3 route, finite for every N (including N > L),
+    as an unreduced pair."""
     upper = (Fraction(L + 1, 2), Fraction(L + 2, 2))
     lower = (
         Fraction(2 * L + 3, 2),
@@ -162,22 +178,25 @@ def coeff_rational_general(
     q, sqrtpi_power = regularized_sum_rational(upper, lower, z, precision)
     # Exactly one lower parameter is half-integer, so the regularized sum
     # carries 1/sqrt(pi) and the prefactor's sqrt(pi) cancels it.
-    if q != 0 and sqrtpi_power != -1:
+    if q[0] != 0 and sqrtpi_power != -1:
         raise AssertionError("unexpected sqrt(pi) power in regularized sum")
-    return (
+    pref = (
         Fraction(2 * (2 * L + 1), 2 ** (2 * L + 2))
         * Fraction(k) ** L
         * sigma
         * math.factorial(L)
-        * q
     )
+    return _scaled(pref, q)
 
 
 @lru_cache(maxsize=None)
-def _coeff_rational(kind: str, L: int, N: int, k: Fraction, precision: int) -> Fraction:
-    """Exact rational value of the P_L coefficient; 0 on parity mismatch."""
+def _coeff_rational(
+    kind: str, L: int, N: int, k: Fraction, precision: int
+) -> tuple[int, int]:
+    """Exact value of the P_L coefficient as an unreduced pair (n, d),
+    d > 0; (0, 1) on parity mismatch."""
     if (L + N) % 2 == 1:
-        return Fraction(0)
+        return 0, 1
     sigma, z = _phase_and_argument(kind, L, N, k)
     if N in (0, 1):
         return coeff_rational_reduced(L, N, k, z, sigma, precision)
@@ -212,7 +231,7 @@ def build_series(
     threshold mode assembly stops once two consecutive coefficients fall
     below the threshold, and that trailing run of negligible entries is
     dropped from the result.  Each comparison is exact, on the coefficient's
-    unrounded value.
+    unrounded value, in integers.
     """
     _check_kind(kind)
     if N < 0:
@@ -223,11 +242,11 @@ def build_series(
     coeff = coeff_a if kind == "J" else coeff_a_modified
     start = N % 2
 
-    def entry(L: int) -> tuple[int, BigReal, Fraction]:
+    def entry(L: int) -> tuple[int, BigReal, tuple[int, int]]:
         a = coeff(L, N, k, precision)
         return L, a, _coeff_rational(kind, L, N, k, precision)
 
-    def assemble(rows: list[tuple[int, BigReal, Fraction]]) -> FLSeries:
+    def assemble(rows: list[tuple[int, BigReal, tuple[int, int]]]) -> FLSeries:
         return FLSeries(kind, N, k, tuple((L, a) for L, a, _ in rows), precision,
                         exact=tuple(q for _, _, q in rows))
 
@@ -238,16 +257,21 @@ def build_series(
         return assemble([entry(L) for L in degrees])
 
     thresh = Fraction(1, 10 ** (precision + 2)) if threshold is None else threshold
-    rows: list[tuple[int, BigReal, Fraction]] = []
+
+    def negligible(row: tuple[int, BigReal, tuple[int, int]]) -> bool:
+        n, d = row[2]
+        return abs(n) * thresh.denominator < thresh.numerator * d
+
+    rows: list[tuple[int, BigReal, tuple[int, int]]] = []
     small_run = 0
     L = start
     while small_run < 2:
         if len(rows) >= TRUNCATION_CAP:
             raise TruncationCapExceeded(f"more than {TRUNCATION_CAP} entries")
         rows.append(entry(L))
-        small_run = small_run + 1 if abs(rows[-1][2]) < thresh else 0
+        small_run = small_run + 1 if negligible(rows[-1]) else 0
         L += 2
-    while rows and abs(rows[-1][2]) < thresh:
+    while rows and negligible(rows[-1]):
         rows.pop()
     return assemble(rows)
 
@@ -287,7 +311,7 @@ def eval_series(
         total *= L * b  # the partial sum, now over L! b^L like U_L
         if L in coeffs:
             total += coeffs[L] * u
-    return BigReal.from_fraction(Fraction(total, D * den), p)
+    return BigReal.from_fraction((total, D * den), p)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +400,7 @@ def eval_allen(
     if which in ("J1", "I1"):
         total *= q.numerator
         den *= q.denominator
-    return BigReal.from_fraction(Fraction(total, den), precision)
+    return BigReal.from_fraction((total, den), precision)
 
 
 #: Significant digits of a fit's error report; the fits' own coefficients

@@ -93,9 +93,11 @@ def _f12(N: int, L: int, k: Fraction, precision: int) -> Fraction:
     """a_L / 2^L for J_N(kx), N in {0, 1}: the reduced 1F2 coefficient route.
 
     ``__wrapped__`` bypasses the coefficient cache of ``series``, which would
-    hold every a_L a second time next to this one.
+    hold every a_L a second time next to this one.  The exact sums below add
+    these values term by term, so this is where the pair is reduced.
     """
-    return _coeff_rational.__wrapped__("J", L, N, k, precision) / 2**L
+    n, d = _coeff_rational.__wrapped__("J", L, N, k, precision)
+    return Fraction(n, d << L)
 
 
 def _brackets(L: int, m: int) -> Fraction:

@@ -33,6 +33,15 @@ from flbessel.series import _ALLEN, FLSeries
 from flbessel.sumverify import SumSpec, partial_sums_rational
 
 
+def as_fraction(pair: tuple[int, int]) -> Fraction:
+    """The value n/d of an unreduced pair (n, d) that a sum, a coefficient
+    or an ``FLSeries.exact`` entry carries, in lowest terms; d must be
+    positive."""
+    n, d = pair
+    assert d > 0, pair
+    return Fraction(n, d)
+
+
 def pochhammer_reflect(a: Fraction, n: int) -> Fraction:
     """(-a)_n computed through the reflection (-a)_n = (-1)^n (a-n+1)_n."""
     return (-1) ** n * pochhammer(a - n + 1, n)
@@ -154,7 +163,8 @@ def fraction_eval_series(s: FLSeries, x: Fraction | int, precision: int) -> BigR
     denominator.
     """
     x = Fraction(x)
-    values = s.exact or tuple(a.to_fraction() for _, a in s.entries)
+    values = tuple(map(as_fraction, s.exact)) or tuple(
+        a.to_fraction() for _, a in s.entries)
     total = sum(
         (q * eval_P_rational(L, x) for (L, _), q in zip(s.entries, values)),
         Fraction(0),

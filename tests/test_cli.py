@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 from flbessel import series, sumverify
 from flbessel.cli import MAX_DIGITS, MAX_GRID, build_parser, main
+from flbessel.mpnum import BigReal
+from oracles import as_fraction
 from refdata import DATA, golden, table1_rows, ulp_of
 
 #: bench, power --factorize and verify outputs, byte for byte, recorded
@@ -44,6 +47,20 @@ def test_coeffs_at_10000_digits_match_the_decimal_route(capsys):
     assert [line.split()[0] for line in out.splitlines()] == ["0", "2", "4"]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "86057ddee577640b92661882ac16081d529b3de0753118c05d6e0523e898fddb")
+
+
+def test_coeffs_at_10000_digits_print_the_rounding_of_lowest_terms(capsys):
+    # the coefficients reach the rounding as unreduced pairs; what is
+    # printed is the rounding of each one's lowest terms
+    pairs = [series._coeff_rational("J", L, 0, Fraction(1), 10000) for L in (0, 2, 4)]
+    assert any(math.gcd(*pair) > 1 for pair in pairs)
+    code, out, err = run(capsys, "--digits", "10000", "coeffs", "J", "0", "1",
+                         "--lmax", "4")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"{L:4d}  {BigReal.from_fraction(as_fraction(pair), 10000)}"
+        for L, pair in zip((0, 2, 4), pairs)
+    ]
 
 
 def test_coeffs_table_row_count(capsys):
@@ -259,12 +276,18 @@ def test_usage_errors_exit_2(capsys):
     ("bench", "--which", "j0", "--range", "0..3/-4"),
     ("coeffs", "J", "0", "1e-999999999", "--lmax", "0"),
     ("verify", "--family", "j0", "--h-range", "0..0", "--tol", "1e-10000000"),
-    # argparse leaves an empty list, not a string, for an option given as
-    # --opt=--: a number, a choice and the output path
+    # argparse gives an option spelled --opt=-- an empty list (Python 3.11,
+    # 3.12) or the string '--' (3.13): a number, a choice and the output path
     ("verify", "--family", "j0", "--h-range", "0..0", "--k=--"),
     ("--digits=--", "coeffs", "J", "0", "1", "--lmax", "0"),
     ("verify", "--family=--", "--h-range", "0..0"),
     ("coeffs", "J", "0", "1", "--lmax", "0", "--out=--"),
+    # eval's x is a scale like k: b = 10^10000 in the integer recurrence
+    # ran 4.9 s
+    ("eval", "J", "0", "1", "1e10000", "--lmax", "42"),
+    ("eval", "J", "0", "1", "1401", "--lmax", "4"),
+    # a second "--" leaves a positional an empty list
+    ("eval", "J", "0", "1", "--", "--"),
 ])
 def test_out_of_range_input_exits_2_before_any_work(monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):

@@ -29,7 +29,7 @@ from flbessel.mpnum import (
     pochhammer,
     recip_gamma_exact,
 )
-from oracles import fraction_sum_terms, fraction_terms, term_direct
+from oracles import as_fraction, fraction_sum_terms, fraction_terms, term_direct
 from refdata import BRUTE_2F3, BRUTE_2F3_REG_ZERO, PI_70
 
 F = Fraction
@@ -125,15 +125,16 @@ def test_sum_terms_stopping_rule_and_cap():
     # the first term is always taken, even when it is itself negligible:
     # terms tiny, 0, 0 stop before the pair after them is read
     pairs = iter([tiny_pair, (0, 1), (1, 1), (5, 1)])
-    assert sum_terms(pairs, 10, 100) == tiny
+    assert as_fraction(sum_terms(pairs, 10, 100)) == tiny
     assert list(pairs) == [(5, 1)]
     # one small term is not enough; two in a row are:
     # terms 1, tiny, 1, tiny, tiny, 7
     pairs = [(1, 1), tiny_pair, (10**30, 1), tiny_pair, (1, 1), (7 * 10**30, 1)]
-    assert sum_terms(iter(pairs), 10, 100) == 2 + 3 * tiny
+    assert as_fraction(sum_terms(iter(pairs), 10, 100)) == 2 + 3 * tiny
     # terms up to index ``cap`` are allowed, the next one raises:
     # terms 1, 1, tiny, tiny and then 1, 1, 1, tiny, tiny
-    assert sum_terms(iter([(1, 1), (1, 1), tiny_pair, (1, 1)]), 10, 3) == 2 + 2 * tiny
+    got = sum_terms(iter([(1, 1), (1, 1), tiny_pair, (1, 1)]), 10, 3)
+    assert as_fraction(got) == 2 + 2 * tiny
     with pytest.raises(TermCapExceeded):
         sum_terms(iter([(1, 1), (1, 1), (1, 1), tiny_pair, (1, 1)]), 10, 3)
 
@@ -144,7 +145,7 @@ def test_a_sum_far_below_one_stops_relative_to_itself():
     # 1e-64 and 1e-76 are, and the sum stops after reading four items
     pairs = [(1, 10**40)] + [(1, 10**12)] * 6
     seen = []
-    got = sum_terms(counted(pairs, seen), 20, 100)
+    got = as_fraction(sum_terms(counted(pairs, seen), 20, 100))
     assert len(seen) == 4
     assert got == sum(F(1, 10 ** (40 + 12 * j)) for j in range(4))
 
@@ -171,7 +172,7 @@ def test_regularized_at_zero():
     # all lower params positive: value is the product of reciprocal gammas,
     # 1/Gamma(1) * 1/Gamma(2) * 1/Gamma(3/2) = 2 / sqrt(pi)
     q, s = regularized_sum_rational((F(1, 2), F(1)), (F(1), F(2), F(3, 2)), F(0), 40)
-    assert (q, s) == (F(2), -1)
+    assert (as_fraction(q), s) == (F(2), -1)
 
 
 def test_regularized_zero_lower_parameter():
@@ -180,6 +181,7 @@ def test_regularized_zero_lower_parameter():
     q, s = regularized_sum_rational(
         (F(1, 2), F(1)), (F(3, 2), F(0), F(2)), F(-1, 4), 45
     )
+    q = as_fraction(q)
     assert s == -1
     with localcontext() as ctx:
         ctx.prec = 70
@@ -200,8 +202,9 @@ def test_regularized_consistency_identity_spot():
     # Gamma(b1) Gamma(b2) Gamma(b3) * regularized == plain; the sqrt(pi) of
     # Gamma(7/2) cancels the regularized sum's 1/sqrt(pi) exactly
     upper, lower = (F(3, 2), F(2)), (F(7, 2), F(2), F(3))
-    plain_q = plain_sum_rational(upper, lower, F(-1, 4), 40)
+    plain_q = as_fraction(plain_sum_rational(upper, lower, F(-1, 4), 40))
     q, s = regularized_sum_rational(upper, lower, F(-1, 4), 40)
+    q = as_fraction(q)
     assert s == -1
     gammas = gamma_half_exact(3) * gamma_int_exact(2) * gamma_int_exact(3)
     assert abs(q * gammas - plain_q) < F(1, 10**38)
@@ -214,8 +217,9 @@ def test_regularized_consistency_identity_random():
         lower = tuple(F(rng.randint(1, 12), rng.choice((1, 2))) for _ in range(3))
         z = F(rng.randint(-6, 6), rng.randint(1, 3))
         prec = 30
-        plain = plain_sum_rational(upper, lower, z, prec)
+        plain = as_fraction(plain_sum_rational(upper, lower, z, prec))
         q, s = regularized_sum_rational(upper, lower, z, prec)
+        q = as_fraction(q)
         gam = F(1)
         pi_pow = 0
         for b in lower:
@@ -248,7 +252,7 @@ def test_partial_sums_bracket_once_alternating():
         lower = (F(1), F(3, 2))
         z = F(-(k**2), 4)
         terms = running_products(plain_terms(upper, lower, z), 200)
-        limit = plain_sum_rational(upper, lower, z, 60)
+        limit = as_fraction(plain_sum_rational(upper, lower, z, 60))
         # find where strict alternation + decreasing magnitude sets in
         start = None
         for i in range(len(terms) - 1):
@@ -287,14 +291,15 @@ def kernel_and_reference(upper, lower, z, first, start, digits, cap):
     """(value, items read) of the integer kernel and of the reference loop;
     the value is the exception class when the cap is hit."""
     results = []
-    for terms, total in (
-        (plain_terms, sum_terms), (fraction_terms, fraction_sum_terms)
+    for terms, total, value_of in (
+        (plain_terms, sum_terms, as_fraction),
+        (fraction_terms, fraction_sum_terms, Fraction),
     ):
         seen = []
         try:
-            value = total(
+            value = value_of(total(
                 counted(terms(upper, lower, z, first, start), seen), digits, cap
-            )
+            ))
         except TermCapExceeded:
             value = TermCapExceeded
         results.append((value, len(seen)))
@@ -346,7 +351,7 @@ def test_integer_kernel_edge_cases():
         for precision in (5, 50, 300):
             new, ref = kernel_and_reference(upper, lower, z, F(1), 0, precision + 16, 10**4)
             assert new == ref
-            assert new[0] == plain_sum_rational(upper, lower, z, precision)
+            assert new[0] == as_fraction(plain_sum_rational(upper, lower, z, precision))
 
 
 @pytest.mark.parametrize("n0", [1, 2, 5])
@@ -364,7 +369,8 @@ def test_regularized_head_matches_fraction_reference(n0):
                 fraction_terms(upper, lower, z, head, n0),
                 precision + 16, term_cap(precision) + 1,
             )
-            assert regularized_sum_rational(upper, lower, z, precision) == (want, -1)
+            q, s = regularized_sum_rational(upper, lower, z, precision)
+            assert (as_fraction(q), s) == (want, -1)
 
 
 @pytest.mark.parametrize("digits", [1, 2, 7, 33, 200])
@@ -384,7 +390,7 @@ def test_a_tie_is_not_small(digits):
         # the tie is not small, so the sum stops only after the two small
         # terms behind it: four items are read, not three
         seen = []
-        got = sum_terms(counted(pairs, seen), digits, 100)
+        got = as_fraction(sum_terms(counted(pairs, seen), digits, 100))
         assert len(seen) == 4
         ref = fraction_sum_terms(running_products(iter(pairs), len(pairs)), digits, 100)
         assert got == ref
@@ -502,6 +508,6 @@ def test_a_growing_pair_bounds_what_a_wrong_estimate_can_pull(monkeypatch):
     monkeypatch.setattr(hypergeom, "_MARGIN", -1e6)
     pairs = [(1, 1)] * 49 + [(1, 10**40), (1, 1), (10**40, 1)] + [(1, 1)] * 100
     seen = []
-    got = sum_terms(counted(pairs, seen), 20, 120)
+    got = as_fraction(sum_terms(counted(pairs, seen), 20, 120))
     assert got == 49 + 2 * F(1, 10**40)
     assert len(seen) == 52

@@ -164,6 +164,26 @@ def test_from_fraction_equals_the_decimal_division(digits, data):
     assert str(got) == str(want)
 
 
+@st.composite
+def common_factors(draw) -> int:
+    """A common factor of 1 to 20 001 bits."""
+    bits = draw(st.integers(0, 20000))
+    return draw(st.integers(1 << bits, (2 << bits) - 1))
+
+
+@given(st.integers(1, 60), st.data())
+@settings(max_examples=300, deadline=None)
+def test_an_unreduced_pair_rounds_as_its_lowest_terms(digits, data):
+    # sums and coefficients reach the rounding as (n g, d g), g a common
+    # factor of thousands of bits; either sign, exact ties and carries
+    q = data.draw(rationals_to_round(digits))
+    g = data.draw(common_factors())
+    got = BigReal.from_fraction((q.numerator * g, q.denominator * g), digits)
+    want = BigReal.from_fraction(q, digits)
+    assert got.value == want.value and str(got) == str(want)
+    assert str(got) == str(decimal_from_fraction(q, digits))
+
+
 def test_from_fraction_carries_and_long_quotients():
     # 9995/1000 is a tie at 3 digits that carries: 9.995 -> 10.0
     assert str(BigReal.from_fraction(Fraction(9995, 1000), 3)) == "10.0"

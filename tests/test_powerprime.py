@@ -15,7 +15,7 @@ from flbessel.powerprime import (
     to_power_series,
 )
 from flbessel.series import build_series
-from oracles import compare_power_series, monomial_coefficient
+from oracles import as_fraction, compare_power_series, monomial_coefficient
 from refdata import J0_EXPONENTS, J1_EXPONENTS, table1_rows, ulp_of
 
 F = Fraction
@@ -187,7 +187,8 @@ def test_fold_is_the_correctly_rounded_exact_fold(kind, N, k):
     p = to_power_series(s, 45)
     for m, c in p.coeffs:
         exact = sum(
-            (q * monomial_coefficient(L, m) for (L, _), q in zip(s.entries, s.exact)),
+            (as_fraction(q) * monomial_coefficient(L, m)
+             for (L, _), q in zip(s.entries, s.exact)),
             F(0),
         )
         assert c == BigReal.from_fraction(exact, 50), m

@@ -27,7 +27,7 @@ from flbessel.series import (
     _phase_and_argument,
 )
 from flbessel.series import FLSeries
-from oracles import coeff_oracle, fraction_eval_allen, fraction_eval_series
+from oracles import as_fraction, coeff_oracle, fraction_eval_allen, fraction_eval_series
 from refdata import TRUE_VALUES
 
 F = Fraction
@@ -56,7 +56,7 @@ def test_coefficients_sum_to_the_value_at_one(kind, N):
     # P_L(1) = 1, so sum_L a_L = J_N(k) (or I_N(k)); at k = 1 the terms past
     # L = 80 are far below 1e-70 of it
     total = sum(
-        series._coeff_rational(kind, L, N, F(1), 50) for L in range(81)
+        as_fraction(series._coeff_rational(kind, L, N, F(1), 50)) for L in range(81)
     )
     ref = maclaurin_ref(kind, N, 1, 1, 90).to_fraction()
     assert abs(total - ref) <= abs(ref) * F(1, 10**70)
@@ -73,8 +73,8 @@ def test_reduced_and_general_routes_agree():
         for L, N in ((0, 0), (4, 0), (7, 1), (12, 0), (13, 1)):
             for k in (F(1), F(1, 2), F(2)):
                 sigma, z = _phase_and_argument(kind, L, N, k)
-                r = coeff_rational_reduced(L, N, k, z, sigma, 50)
-                g = coeff_rational_general(L, N, k, z, sigma, 50)
+                r = as_fraction(coeff_rational_reduced(L, N, k, z, sigma, 50))
+                g = as_fraction(coeff_rational_general(L, N, k, z, sigma, 50))
                 assert abs(r - g) <= abs(r) * F(1, 10**40)
 
 
@@ -84,8 +84,8 @@ def test_modified_is_argument_flip_of_plain():
     for L, N in ((0, 0), (4, 2), (6, 0), (3, 1), (2, 4)):
         k = F(3, 2)
         sigma_j, z_j = _phase_and_argument("J", L, N, k)
-        got = coeff_rational_general(L, N, k, -z_j, sigma_j, 40) * sigma_j
-        want = coeff_rational_general(L, N, k, -z_j, 1, 40)
+        got = as_fraction(coeff_rational_general(L, N, k, -z_j, sigma_j, 40)) * sigma_j
+        want = as_fraction(coeff_rational_general(L, N, k, -z_j, 1, 40))
         assert got == want
         mod = coeff_a_modified(L, N, k, 40)
         assert abs(mod.to_fraction() - want) <= abs(want or F(1)) * F(1, 10**38)
@@ -122,7 +122,7 @@ def test_build_series_threshold_is_compared_exactly():
     # a threshold a hair above |a_L| drops a_L; rounded to 28 digits, it
     # could fall below a_L's 50-digit value and keep it
     for L in range(2, 60, 2):
-        a_L = series._coeff_rational("J", L, 0, F(1), 50)
+        a_L = as_fraction(series._coeff_rational("J", L, 0, F(1), 50))
         s = build_series("J", 0, 1, threshold=abs(a_L) * (1 + F(1, 10**40)),
                          precision=50)
         assert s.l_max == L - 2, L
@@ -322,7 +322,8 @@ def test_order_ladder_ties_neighbouring_tables(kind, N):
     def table(n):
         if n < 0:
             return [sign * q for q in table(-n)]
-        return [series._coeff_rational(kind, L, n, k, 50) for L in range(top + 1)]
+        return [as_fraction(series._coeff_rational(kind, L, n, k, 50))
+                for L in range(top + 1)]
 
     below, here, above = table(N - 1), table(N), table(N + 1)
     lhs = [(2 * j + 1) * sum(here[j + 1::2], F(0)) for j in range(50)]

@@ -27,6 +27,7 @@ from flbessel.sumverify import (
 from oracles import (
     MONOMIAL_TERM,
     affine_at,
+    as_fraction,
     bracket_displays,
     bracket_forms,
     cauchy_check,
@@ -177,7 +178,7 @@ def test_term_is_the_coefficient_times_the_bonnet_monomial(k):
         for h in range(21):
             sp = spec(family=fam, h=h, k=k, terms=h + 1)
             for L in range(2 * h + N, 161, 2):
-                a_L = _coeff_rational("J", L, N, k, 50)
+                a_L = as_fraction(_coeff_rational("J", L, N, k, 50))
                 assert term_rational(sp, L) == a_L * table[L][2 * h + N], (fam, h, L)
 
 
@@ -292,7 +293,8 @@ def test_even_only_display_transcribed_literally_is_half_the_term():
                 * gamma_half_exact(L + 1)
             )
         )
-        literal *= plain_sum_rational(*reduced_parameters(L, 0), F(-1, 4), 50)
+        sum_pair = plain_sum_rational(*reduced_parameters(L, 0), F(-1, 4), 50)
+        literal *= as_fraction(sum_pair)
         assert 2 * literal == term_rational(sp, L)
 
 
