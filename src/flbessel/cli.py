@@ -47,6 +47,11 @@ MAX_VERIFY_WEIGHT = 1_000_000
 #: Most grid points ``bench --grid`` accepts; 2001 points take about 0.25 s.
 MAX_GRID = 2001
 
+#: Largest accepted Bessel order N.  The coefficients' gamma denominators and
+#: sums grow with N: a full 400-entry table at 50 digits took 0.12 s at
+#: N = 0, 0.40 s at N = 1000, 1.5 s at N = 2000 and 6.4 s at N = 5000.
+MAX_ORDER = 1000
+
 
 class UsageError(ValueError):
     pass
@@ -108,7 +113,7 @@ def _parse_kind_order(kind: str, order: str) -> tuple[str, int]:
     k = kind.upper()
     if k not in ("J", "I"):
         raise UsageError("kind must be J or I")
-    return k, _count(order, "order", 0)
+    return k, _count(order, "order", 0, MAX_ORDER)
 
 
 def _parse_range(text: str, digits: int) -> tuple[Fraction, Fraction]:

@@ -37,16 +37,22 @@ For the first h candidate terms m is negative (the factorial in the
 denominator has a negative argument), which is why those terms vanish
 identically.
 
-Everything is exact: each term is a rational number, each partial sum is a
-rational number, and the only rounding happens when results are rendered.
+Everything is exact: each term is an unreduced integer pair (n, d), each
+partial sum is one too, added with one gcd of the denominators per term and
+never reduced, and the only rounding happens when results are rendered.
+``verify_identity`` also compares the relative difference with the tolerance
+as integers; ``partial_sums_rational`` builds a ``Fraction`` per prefix for
+the callers that ask for one.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .mpnum import BigReal, pochhammer
 from .powerprime import maclaurin_coefficient
@@ -93,8 +99,9 @@ def _f12(N: int, L: int, k: Fraction, precision: int) -> Fraction:
     """a_L / 2^L for J_N(kx), N in {0, 1}: the reduced 1F2 coefficient route.
 
     ``__wrapped__`` bypasses the coefficient cache of ``series``, which would
-    hold every a_L a second time next to this one.  The exact sums below add
-    these values term by term, so this is where the pair is reduced.
+    hold every a_L a second time next to this one.  Every identity of a sweep
+    multiplies this value by its own monomial coefficient, so it is reduced
+    here, once per L, to keep those products and their sums small.
     """
     n, d = _coeff_rational.__wrapped__("J", L, N, k, precision)
     return Fraction(n, d << L)
@@ -113,24 +120,26 @@ def _brackets(L: int, m: int) -> Fraction:
                     a.denominator * b.denominator * c.numerator)
 
 
-def term_rational(spec: SumSpec, L: int) -> Fraction:
-    """Exact a_L * [x^(2h+N)] P_L at index L (zero for the vanished head)."""
+def term_rational(spec: SumSpec, L: int) -> tuple[int, int]:
+    """Exact a_L * [x^(2h+N)] P_L at index L as an unreduced pair (n, d), d > 0;
+    (0, 1) for the vanished head."""
     N = FAMILIES.index(spec.family)
     if L % 2 != N:
         raise ValueError(f"the {spec.family} family sums L = {N} (mod 2) only")
     h = spec.h
     m = (L - N) // 2 - h
     if m < 0:
-        return Fraction(0)
-    fact = math.factorial
+        return 0, 1
     # T = 2^L [x^(L-2m)] P_L, an integer
     T = (-1 if m % 2 else 1) * math.comb(L, m) * math.comb(2 * L - 2 * m, L)
     bracket = _brackets(L, m)
-    if bracket.numerator * fact(2 * L) != T * fact(m) * fact(L) ** 2 * bracket.denominator:
+    # bracket * (2L)! = T * m! * (L!)^2, divided through by (L!)^2
+    if bracket.numerator * math.comb(2 * L, L) != T * math.factorial(m) * bracket.denominator:
         raise VariantMismatch(
             f"Pochhammer bracket disagrees with [x^{L - 2 * m}] P_{L} at h={h}"
         )
-    return _f12(N, L, spec.k, spec.precision) * T
+    a = _f12(N, L, spec.k, spec.precision)
+    return a.numerator * T, a.denominator
 
 
 def _l_values(spec: SumSpec) -> range:
@@ -138,14 +147,24 @@ def _l_values(spec: SumSpec) -> range:
     return range(start, start + 2 * spec.L_terms, 2)
 
 
+def _prefix_pairs(spec: SumSpec) -> Iterator[tuple[int, int]]:
+    """Running partial sums S_0, S_1, ... as unreduced pairs (n, d), d > 0.
+
+    Each term costs one gcd, of the two denominators, so that d stays the
+    least common multiple of the term denominators; n is never reduced.
+    """
+    num, den = 0, 1
+    for L in _l_values(spec):
+        n, d = term_rational(spec, L)
+        g = math.gcd(den, d)
+        num = num * (d // g) + n * (den // g)
+        den = den // g * d
+        yield num, den
+
+
 def partial_sums_rational(spec: SumSpec) -> tuple[Fraction, ...]:
     """Running partial sums S_0, S_1, ... over the spec's term list."""
-    total = Fraction(0)
-    out = []
-    for L in _l_values(spec):
-        total += term_rational(spec, L)
-        out.append(total)
-    return tuple(out)
+    return tuple(Fraction(n, d) for n, d in _prefix_pairs(spec))
 
 
 def rhs_rational(spec: SumSpec) -> Fraction:
@@ -158,17 +177,20 @@ def verify_identity(spec: SumSpec, tol: Fraction) -> VerifyReport:
     most ``tol``.
 
     "Relative" means |lhs - rhs| / |rhs|, computed exactly before rendering.
-    Where the right side is exactly 0 (k = 0 with h >= 1), there is nothing
-    to scale by, and ``rel_diff`` is the absolute difference |lhs|.
-    Failure is an outcome, not an exception.
+    Where the right side is exactly 0 (k = 0, except for j0 at h = 0), there
+    is nothing to scale by, and ``rel_diff`` is the absolute difference |lhs|.
+    Failure is an outcome, not an exception.  Both the comparison with
+    ``tol`` and the rendering read the exact sum and difference as unreduced
+    integer pairs.
     """
-    lhs_q = partial_sums_rational(spec)[-1]
+    ((n, d),) = deque(_prefix_pairs(spec), maxlen=1)
     rhs_q = rhs_rational(spec)
-    rel = abs(lhs_q - rhs_q) / abs(rhs_q) if rhs_q else abs(lhs_q)
+    p, q = rhs_q.numerator, rhs_q.denominator
+    rel_n, rel_d = (abs(n * q - p * d), abs(p) * d) if p else (abs(n), d)
     return VerifyReport(
         spec=spec,
-        lhs=BigReal.from_fraction(lhs_q, spec.precision),
+        lhs=BigReal.from_fraction((n, d), spec.precision),
         rhs=BigReal.from_fraction(rhs_q, spec.precision),
-        rel_diff=BigReal.from_fraction(rel, max(spec.precision, 8)),
-        passed=rel <= tol,
+        rel_diff=BigReal.from_fraction((rel_n, rel_d), max(spec.precision, 8)),
+        passed=rel_n * tol.denominator <= tol.numerator * rel_d,
     )

@@ -30,7 +30,7 @@ from flbessel.mpnum import (
 )
 from flbessel.powerprime import PowerSeries
 from flbessel.series import _ALLEN, FLSeries
-from flbessel.sumverify import SumSpec, partial_sums_rational
+from flbessel.sumverify import SumSpec, partial_sums_rational, term_rational
 
 
 def as_fraction(pair: tuple[int, int]) -> Fraction:
@@ -316,6 +316,19 @@ def compare_power_series(
             e = lookup.get(m, Fraction(0))
             ed = Decimal(e.numerator) / Decimal(e.denominator)
             out.append((m, BigReal(abs(c.value - ed), p.precision)))
+    return tuple(out)
+
+
+def fraction_partial_sums(spec: SumSpec) -> tuple[Fraction, ...]:
+    """Running partial sums S_0, S_1, ... with each term of ``term_rational``
+    added as a reduced ``Fraction``, two gcds per addition, instead of the
+    package's unreduced integer pairs."""
+    N = ("j0", "j1").index(spec.family)
+    total = Fraction(0)
+    out = []
+    for L in range(N, N + 2 * spec.L_terms, 2):
+        total += as_fraction(term_rational(spec, L))
+        out.append(total)
     return tuple(out)
 
 

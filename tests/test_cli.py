@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flbessel import series, sumverify
-from flbessel.cli import MAX_DIGITS, MAX_GRID, build_parser, main
+from flbessel.cli import MAX_DIGITS, MAX_GRID, MAX_ORDER, build_parser, main
 from flbessel.mpnum import BigReal
 from oracles import as_fraction
 from refdata import DATA, golden, table1_rows, ulp_of
@@ -288,6 +288,12 @@ def test_usage_errors_exit_2(capsys):
     ("eval", "J", "0", "1", "1401", "--lmax", "4"),
     # a second "--" leaves a positional an empty list
     ("eval", "J", "0", "1", "--", "--"),
+    # an order above MAX_ORDER: N = 200000 ran past 20 s for one coefficient
+    ("coeffs", "J", "200000", "1", "--lmax", "0", "--digits", "5"),
+    ("coeffs", "J", "20000", "1", "--lmax", "0", "--digits", "5"),
+    ("eval", "I", "1001", "1", "1/2", "--lmax", "4"),
+    ("coeffs", "J", "1000000000000", "1", "--lmax", "0", "--digits", "5"),
+    ("power", "J", "1001", "1", "--max-power", "4"),
 ])
 def test_out_of_range_input_exits_2_before_any_work(monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):
@@ -396,6 +402,14 @@ def test_precision_at_the_bound_is_accepted(capsys):
                        "--table-digits", str(MAX_DIGITS))
     assert code == 0
     assert len(out.split()) == 2
+
+
+def test_order_at_the_bound_is_accepted(capsys):
+    for kind in ("J", "I"):
+        code, out, _ = run(capsys, "--digits", "5", "coeffs", kind,
+                           str(MAX_ORDER), "1", "--lmax", "0")
+        assert code == 0
+        assert out.split()[0] == "0"
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,6 +32,7 @@ from oracles import (
     bracket_forms,
     cauchy_check,
     display_value,
+    fraction_partial_sums,
     gamma_factors_cancel_at_m0,
     summed_series_lhs,
     term_ratio,
@@ -179,7 +180,8 @@ def test_term_is_the_coefficient_times_the_bonnet_monomial(k):
             sp = spec(family=fam, h=h, k=k, terms=h + 1)
             for L in range(2 * h + N, 161, 2):
                 a_L = as_fraction(_coeff_rational("J", L, N, k, 50))
-                assert term_rational(sp, L) == a_L * table[L][2 * h + N], (fam, h, L)
+                got = as_fraction(term_rational(sp, L))
+                assert got == a_L * table[L][2 * h + N], (fam, h, L)
 
 
 @pytest.mark.parametrize("family", ["j0", "j1"])
@@ -217,8 +219,64 @@ def test_first_h_terms_vanish():
         for h in range(0, 21, 4):
             sp = spec(family=fam, h=h, terms=h + 5)
             for i in range(h):
-                assert term_rational(sp, 2 * i + off) == 0
-            assert term_rational(sp, 2 * h + off) != 0
+                assert as_fraction(term_rational(sp, 2 * i + off)) == 0
+            assert as_fraction(term_rational(sp, 2 * h + off)) != 0
+
+
+#: Scales for the accumulator witnesses: the paper's k, others on both
+#: sides of it, a negative one, and 0, where every identity but j0 at h = 0
+#: has a right side of exactly 0.
+ACCUMULATOR_SCALES = (F(1), F(3, 4), F(3, 2), F(-1, 2), F(0))
+
+
+def verify_and_rounded_values(monkeypatch, sp, tol):
+    """``verify_identity``'s report and the exact values it hands to
+    ``BigReal.from_fraction``, in order: lhs, rhs and rel_diff."""
+    seen = []
+
+    class Spy(BigReal):
+        @classmethod
+        def from_fraction(cls, q, precision):
+            seen.append(q if isinstance(q, F) else as_fraction(q))
+            return BigReal.from_fraction(q, precision)
+
+    monkeypatch.setattr(sumverify, "BigReal", Spy)
+    return verify_identity(sp, tol), seen
+
+
+@pytest.mark.parametrize("k", ACCUMULATOR_SCALES)
+def test_prefix_sums_equal_the_fraction_accumulator(monkeypatch, k):
+    # every prefix of the integer-pair accumulator, and the sum that
+    # verify_identity rounds, equal the running sum of reduced Fractions,
+    # the vanished head included
+    for fam in ("j0", "j1"):
+        for h in range(13):
+            sp = spec(family=fam, h=h, k=k, terms=h + 6)
+            want = fraction_partial_sums(sp)
+            assert want[:h] == (0,) * h
+            assert partial_sums_rational(sp) == want, (fam, h)
+            _, seen = verify_and_rounded_values(monkeypatch, sp, F(1))
+            assert seen[0] == want[-1], (fam, h)
+
+
+@pytest.mark.parametrize("k", ACCUMULATOR_SCALES)
+def test_pass_fail_on_the_integers_matches_the_fraction_decision_at_its_edge(
+    monkeypatch, k
+):
+    for fam in ("j0", "j1"):
+        for h, terms, precision in ((0, 3, 50), (2, 9, 5), (5, 30, 50), (1, 60, 120)):
+            sp = spec(family=fam, h=h, k=k, terms=h + terms, precision=precision)
+            lhs = fraction_partial_sums(sp)[-1]
+            rhs = rhs_rational(sp)
+            rel = abs(lhs - rhs) / abs(rhs) if rhs else abs(lhs)
+            assert (rhs == 0) == (k == 0 and (h, fam) != (0, "j0"))
+            rep, seen = verify_and_rounded_values(monkeypatch, sp, rel)
+            assert rep.passed, (fam, h)
+            assert seen == [lhs, rhs, rel], (fam, h)
+            want = BigReal.from_fraction(rel, max(precision, 8))
+            assert str(rep.rel_diff) == str(want), (fam, h)
+            assert str(rep.lhs) == str(BigReal.from_fraction(lhs, precision))
+            assert not verify_identity(sp, rel - F(1, 10**300)).passed, (fam, h)
 
 
 def test_rhs_values():
@@ -295,7 +353,7 @@ def test_even_only_display_transcribed_literally_is_half_the_term():
         )
         sum_pair = plain_sum_rational(*reduced_parameters(L, 0), F(-1, 4), 50)
         literal *= as_fraction(sum_pair)
-        assert 2 * literal == term_rational(sp, L)
+        assert 2 * literal == as_fraction(term_rational(sp, L))
 
 
 def test_variants_give_identical_sums():
