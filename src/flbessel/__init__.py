@@ -9,14 +9,7 @@ exact rational arithmetic up to a single final rounding, so results are
 deterministic to the last displayed digit.
 """
 
-from .mpnum import (
-    BigReal,
-    NotNearInteger,
-    PrimePowers,
-    binomial,
-    factorize_reciprocal,
-    pochhammer,
-)
+from .mpnum import BigReal, PrimePowers, pochhammer
 from .hypergeom import (
     LowerParamPole,
     TermCapExceeded,
@@ -73,7 +66,6 @@ __all__ = [
     "FactorReport",
     "LegendreMonomials",
     "LowerParamPole",
-    "NotNearInteger",
     "PowerSeries",
     "PrimePowers",
     "SumSpec",
@@ -83,7 +75,6 @@ __all__ = [
     "VariantMismatch",
     "VerifyReport",
     "accuracy_scan",
-    "binomial",
     "build_series",
     "certify_prime_structure",
     "coeff_a",
@@ -93,7 +84,6 @@ __all__ = [
     "emit_power_code",
     "eval_allen",
     "eval_series",
-    "factorize_reciprocal",
     "maclaurin_exact",
     "maclaurin_ref",
     "monomials",

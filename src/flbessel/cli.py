@@ -16,14 +16,13 @@ from fractions import Fraction
 from . import emit as emit_mod
 from . import powerprime, series, sumverify
 from .hypergeom import LowerParamPole, TermCapExceeded, term_cap
-from .mpnum import BigReal, NotNearInteger
+from .mpnum import BigReal
 from .series import TruncationCapExceeded
 
 _COMPUTATION_ERRORS = (
     TermCapExceeded,
     TruncationCapExceeded,
     LowerParamPole,
-    NotNearInteger,
     sumverify.VariantMismatch,
     emit_mod.UncertifiedFactorization,
     ZeroDivisionError,
@@ -62,16 +61,26 @@ class UsageError(ValueError):
 _COUNT = re.compile(r"\+?[0-9]+")
 _RATIONAL = re.compile(
     r"[+-]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE]([+-]?[0-9]+))?)")
+#: Most digits of a count that ``int()`` converts (Python's default limit on
+#: integer strings); every count the commands accept has far fewer.
+_MAX_COUNT_DIGITS = 4300
 
 
 def _count(text: str, name: str, lo: int, hi: int | None = None) -> int:
-    """A count spelled N or +N, leading zeros allowed, within lo..hi."""
+    """A count spelled N or +N, leading zeros allowed, within lo..hi.
+
+    N of more than ``_MAX_COUNT_DIGITS`` digits is refused before ``int()``,
+    which would raise on it.
+    """
     if not _COUNT.fullmatch(text):
         raise UsageError(f"{name} must be N or +N with N in ASCII digits")
+    bounds = (f"{name} must be at least {lo}" if hi is None
+              else f"{name} must be between {lo} and {hi}")
+    if len(text.lstrip("+0")) > _MAX_COUNT_DIGITS:
+        raise UsageError(f"{name} is too large" if hi is None else bounds)
     value = int(text)
     if value < lo or (hi is not None and value > hi):
-        raise UsageError(f"{name} must be at least {lo}" if hi is None
-                         else f"{name} must be between {lo} and {hi}")
+        raise UsageError(bounds)
     return value
 
 

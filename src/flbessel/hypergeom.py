@@ -53,7 +53,8 @@ from fractions import Fraction
 from itertools import chain, islice
 from typing import Iterable
 
-from .mpnum import DEFAULT_GUARD_DIGITS, pochhammer, recip_gamma_exact
+from . import mpnum
+from .mpnum import pochhammer, recip_gamma_exact
 
 
 class LowerParamPole(ValueError):
@@ -293,8 +294,8 @@ def plain_sum_rational(
     for b in lower:
         if _is_nonpositive_int(b):
             raise LowerParamPole(f"lower parameter {b} is a nonpositive integer")
-    return sum_terms(plain_terms(upper, lower, z), precision + DEFAULT_GUARD_DIGITS,
-                     term_cap(precision))
+    return sum_terms(plain_terms(upper, lower, z),
+                     precision + mpnum.DEFAULT_GUARD_DIGITS, term_cap(precision))
 
 
 def regularized_sum_rational(
@@ -333,5 +334,5 @@ def regularized_sum_rational(
     first *= z**n0 / math.factorial(n0)
 
     terms = plain_terms(upper, lower, z, first, n0)
-    digits = precision + DEFAULT_GUARD_DIGITS
+    digits = precision + mpnum.DEFAULT_GUARD_DIGITS
     return sum_terms(terms, digits, term_cap(precision) + 1), sqrtpi_power

@@ -1,17 +1,17 @@
 """Exact and arbitrary-precision arithmetic primitives.
 
-Everything downstream computes on exact ``fractions.Fraction`` values and
-rounds once, into a ``BigReal``: an immutable arbitrary-precision real, a
-``decimal.Decimal`` value that has been rounded (half-even) to a stated
-number of significant decimal digits, together with that digit count.  A
+Everything downstream computes exact rationals, as ``fractions.Fraction``
+values or unreduced integer pairs, and rounds once, into a ``BigReal``: an
+immutable arbitrary-precision real, a ``decimal.Decimal`` value that has
+been rounded (half-even) to a stated number of significant decimal digits,
+together with that digit count.  A
 ``BigReal`` is canonical -- the stored value carries no hidden digits beyond
 ``precision`` -- so rendering to text and parsing back is the identity.
 
 On top of those sit the small number-theoretic helpers the series machinery
 needs: gamma at integer and half-integer arguments (exact, with the
-sqrt(pi) factor kept apart), Pochhammer symbols, binomials, and
-trial-division factorization of near-integer reciprocals over a small prime
-base.
+sqrt(pi) factor kept apart), Pochhammer symbols, and the record of a
+factorization over a small prime base.
 
 All values are immutable and all functions are pure; any of this may be
 called concurrently without locking.
@@ -27,7 +27,8 @@ from fractions import Fraction
 #: Extra working digits carried by intermediate computations.  Displayed
 #: coefficients converge only when summation runs well past the display
 #: precision, so every routine that rounds to ``precision`` digits computes
-#: with ``precision + DEFAULT_GUARD_DIGITS`` first.
+#: with ``precision + DEFAULT_GUARD_DIGITS`` first, reading it here when the
+#: sum starts.
 DEFAULT_GUARD_DIGITS = 16
 
 #: log10(2), to turn a bit length into a decimal exponent.
@@ -37,18 +38,6 @@ _LOG10_2 = math.log10(2)
 #: signals nothing, so sharing it between threads is safe; ``BigReal``
 #: rounds the result in the caller's context.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-
-#: Factor base: trial division runs over primes up to this bound.
-PRIME_BOUND = 19
-
-
-class NotNearInteger(ValueError):
-    """Reciprocal of a coefficient is not close enough to an integer.
-
-    Raised by :func:`factorize_reciprocal` when the rounding gap exceeds the
-    caller's tolerance.  This is the signal that the series feeding the
-    coefficient was truncated too early or computed at too low a precision.
-    """
 
 
 def _round_sig(value: Decimal, digits: int) -> Decimal:
@@ -203,13 +192,6 @@ class BigReal:
 # ---------------------------------------------------------------------------
 
 
-def gamma_int_exact(n: int) -> int:
-    """Gamma(n) = (n-1)! for positive integer n."""
-    if n <= 0:
-        raise ValueError("gamma pole: nonpositive integer argument")
-    return math.factorial(n - 1)
-
-
 def gamma_half_exact(m: int) -> Fraction:
     """Gamma(m + 1/2) / sqrt(pi) as an exact rational, m >= 0.
 
@@ -231,7 +213,7 @@ def recip_gamma_exact(arg: Fraction) -> tuple[Fraction, int]:
         n = int(arg)
         if n <= 0:
             return Fraction(0), 0
-        return Fraction(1, gamma_int_exact(n)), 0
+        return Fraction(1, math.factorial(n - 1)), 0
     if arg.denominator == 2:
         m = (arg.numerator - 1) // 2
         if m < 0:
@@ -241,7 +223,7 @@ def recip_gamma_exact(arg: Fraction) -> tuple[Fraction, int]:
 
 
 # ---------------------------------------------------------------------------
-# Pochhammer symbols and binomials
+# Pochhammer symbols
 # ---------------------------------------------------------------------------
 
 
@@ -258,84 +240,15 @@ def pochhammer(a: Fraction | int, n: int) -> Fraction:
     return Fraction(math.prod(range(p, p + n * q, q)), q**n)
 
 
-def binomial(n: int, r: int) -> int:
-    """C(n, r) with the out-of-range convention C(n, r) = 0."""
-    if n < 0:
-        raise ValueError("binomial needs n >= 0")
-    if r < 0 or r > n:
-        return 0
-    return math.comb(n, r)
-
-
-# ---------------------------------------------------------------------------
-# Prime-power factorization of near-integer reciprocals
-# ---------------------------------------------------------------------------
-
-
-def primes_up_to(bound: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(bound**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return tuple(i for i in range(2, bound + 1) if sieve[i])
-
-
 @dataclass(frozen=True)
 class PrimePowers:
     """Factorization sign * leftover * prod(p^e) of a positive integer.
 
     ``exponents`` holds only the primes that actually divide the integer;
-    ``leftover`` carries whatever survives trial division by the factor base.
+    ``leftover`` is what is left once the factor base's primes are divided
+    out.
     """
 
     exponents: tuple[tuple[int, int], ...]
     leftover: int
     sign: int
-
-
-def nearest_integer_gap(q: Fraction) -> tuple[int, Fraction]:
-    """Nearest integer to 1/|q| and the exact distance to it."""
-    if q == 0:
-        raise ValueError("cannot take the reciprocal of zero")
-    r = 1 / abs(q)
-    nearest = round(r)
-    return nearest, abs(r - nearest)
-
-
-def factorize_reciprocal(c: BigReal | Fraction, tol: Fraction) -> PrimePowers:
-    """Round 1/|c| to an integer and trial-divide it over the primes up to
-    ``PRIME_BOUND``.
-
-    ``tol`` bounds the fractional distance between 1/|c| and the
-    nearest integer (so it must lie strictly inside (0, 1/2): a gap of 1/2
-    would make "nearest" meaningless).  A gap beyond the tolerance raises
-    :class:`NotNearInteger` -- the series behind ``c`` has not converged far
-    enough.  A leftover factor above the prime bound is not an error; it is
-    reported in the result.
-    """
-    if not (0 < tol < Fraction(1, 2)):
-        raise ValueError("tol must lie in (0, 1/2)")
-
-    q = c if isinstance(c, Fraction) else c.to_fraction()
-    if q == 0:
-        raise ValueError("cannot factorize the reciprocal of zero")
-    nearest, gap = nearest_integer_gap(q)
-    if nearest < 1 or gap > tol:
-        raise NotNearInteger(
-            f"1/|c| = {float(1 / abs(q)):.6g} is {float(gap):.3g} away from "
-            f"the nearest integer (tolerance {float(tol):.3g})"
-        )
-
-    n = nearest
-    exps = []
-    for p in primes_up_to(PRIME_BOUND):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            exps.append((p, e))
-    return PrimePowers(
-        exponents=tuple(exps), leftover=n, sign=1 if q > 0 else -1
-    )

@@ -7,11 +7,13 @@ like powers yields a polynomial approximant whose coefficient of x^m is
 
 a partial sum that converges (strikingly slowly in L) to the exact
 ascending-series coefficient of the underlying function.  The exact
-coefficients have reciprocals that are pure products of small primes once
-the scale is divided out, and ``certify_prime_structure`` checks exactly
-that: round 1/|c_m| to an integer, demand the rounding gap be small, and
-trial-divide.  A gap that refuses to shrink is the footprint of an
-under-truncated fold, not of a failed identity.
+coefficients have known reciprocals: with the scale divided out,
+1/|c_m| = 2^m j! (j+N)! for m = 2j+N, whose prime exponents Legendre's
+formula gives exactly.  ``certify_prime_structure`` rounds 1/|c_m| to an
+integer, demands the rounding gap be small and the integer be that
+reciprocal, and factors it with no trial division.  A gap that refuses to
+shrink is the footprint of an under-truncated fold, not of a failed
+identity.
 """
 
 from __future__ import annotations
@@ -21,18 +23,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .legendre import monomials
-from .mpnum import (
-    BigReal,
-    NotNearInteger,
-    PrimePowers,
-    factorize_reciprocal,
-    nearest_integer_gap,
-)
+from .mpnum import BigReal, PrimePowers
 from .series import FLSeries
 
 #: Largest distance between a reciprocal and its nearest integer that
 #: ``certify_prime_structure`` accepts.
 CERTIFY_TOL = Fraction(1, 10**6)
+
+#: The factor base: the eight primes of the paper's abstract.  They factor
+#: 2^m j! (j+N)! completely while j+N <= 22; 23 enters at j+N = 23.
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,10 @@ class FactorEntry:
     """Per-power certification outcome.
 
     ``factors`` is None when the reciprocal was not near an integer at the
-    requested tolerance; ``gap`` always records the fractional distance
-    between 1/|c_m| (scale divided out) and ``nearest``.
+    requested tolerance, or when that integer is not the exact reciprocal
+    (the report still calls it "not near an integer"); ``gap`` always
+    records the fractional distance between 1/|c_m| (scale divided out) and
+    ``nearest``.
     """
 
     power: int
@@ -122,10 +124,32 @@ def maclaurin_coefficient(kind: str, N: int, j: int, k: Fraction | int = 1) -> F
     It is (+-1)^j k^(2j+N) / (2^(2j+N) j! (j+N)!), alternating for J and all
     positive for I.
     """
-    m = 2 * j + N
     sign = -1 if kind == "J" and j % 2 else 1
-    c = Fraction(sign, 2**m) / (math.factorial(j) * math.factorial(j + N))
-    return c * Fraction(k) ** m
+    return Fraction(sign, exact_reciprocal(N, j)) * Fraction(k) ** (2 * j + N)
+
+
+def exact_reciprocal(N: int, j: int) -> int:
+    """2^m j! (j+N)!, m = 2j+N: the reciprocal of |c_m| / k^m for the exact
+    x^m coefficient c_m of J_N(kx) and of I_N(kx)."""
+    return math.factorial(j) * math.factorial(j + N) << (2 * j + N)
+
+
+def _factor_exact(N: int, j: int, R: int, sign: int) -> PrimePowers:
+    """R = ``exact_reciprocal(N, j)`` over ``PRIMES``, by Legendre's formula
+    v_p(n!) = sum_i floor(n / p^i); the leftover is the quotient by the
+    primes' part."""
+    exps = []
+    smooth = 1
+    for p in PRIMES:
+        e = 2 * j + N if p == 2 else 0
+        for n in (j, j + N):
+            while n:
+                n //= p
+                e += n
+        if e:
+            exps.append((p, e))
+            smooth *= p**e
+    return PrimePowers(tuple(exps), R // smooth, sign)
 
 
 def maclaurin_exact(
@@ -164,13 +188,13 @@ def exact_power_series(
 
 
 def certify_prime_structure(p: PowerSeries) -> FactorReport:
-    """Factor the reciprocal of every coefficient over small primes.
+    """Check the reciprocal of every coefficient against the exact one.
 
-    An entry is certified when its reciprocal lies within ``CERTIFY_TOL`` of
-    an integer.
-
-    The scale's k^m is divided out first so the certificate targets the
-    scale-free part.  Failures are recorded per entry, never raised.
+    With the scale's k^m divided out, an entry at m = 2j+N is certified when
+    its reciprocal lies within ``CERTIFY_TOL`` of an integer and that integer
+    is ``exact_reciprocal(N, j)``; its factors then come from Legendre's
+    formula.  Below x^N the exact coefficient is 0, so nothing there is
+    certified.  Failures are recorded per entry, never raised.
     """
     entries = []
     for m, c in p.coeffs:
@@ -180,11 +204,14 @@ def certify_prime_structure(p: PowerSeries) -> FactorReport:
                 FactorEntry(m, None, 0, BigReal.from_int(0, p.precision))
             )
             continue
-        nearest, gap = nearest_integer_gap(q)
-        try:
-            factors = factorize_reciprocal(q, CERTIFY_TOL)
-        except NotNearInteger:
-            factors = None
+        r = 1 / abs(q)
+        nearest = round(r)
+        gap = abs(r - nearest)
+        j, odd = divmod(m - p.order, 2)
+        factors = None
+        if (gap <= CERTIFY_TOL and j >= 0 and not odd
+                and nearest == exact_reciprocal(p.order, j)):
+            factors = _factor_exact(p.order, j, nearest, 1 if q > 0 else -1)
         entries.append(
             FactorEntry(
                 power=m,

@@ -38,12 +38,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .mpnum import (
-    BigReal,
-    DEFAULT_GUARD_DIGITS,
-    binomial,
-    gamma_half_exact,
-)
+from . import mpnum
+from .mpnum import BigReal, gamma_half_exact
 from .hypergeom import (
     plain_sum_rational,
     plain_terms,
@@ -158,7 +154,7 @@ def coeff_rational_reduced(
         Fraction(2 * (2 * L + 1), 2 ** (2 * L + 2))
         * Fraction(k) ** L
         * sigma
-        * binomial(L, (L - N) // 2)
+        * math.comb(L, (L - N) // 2)
         / gamma_half_exact(L + 1)
     )
     return _scaled(pref, plain_sum_rational(*reduced_parameters(L, N), z, precision))
@@ -337,7 +333,7 @@ def maclaurin_ref(
     if kind == "J":
         hh = -hh
     terms = plain_terms((), (Fraction(N + 1),), hh, half**N / math.factorial(N))
-    q = sum_terms(terms, precision + DEFAULT_GUARD_DIGITS, 10 * precision + 501)
+    q = sum_terms(terms, precision + mpnum.DEFAULT_GUARD_DIGITS, 10 * precision + 501)
     return BigReal.from_fraction(q, precision)
 
 
@@ -432,7 +428,7 @@ def accuracy_scan(
     worst_x = [x_lo] * (1 + len(fits))
     step = (x_hi - x_lo) / (grid - 1)
     with localcontext() as ctx:
-        ctx.prec = p + DEFAULT_GUARD_DIGITS
+        ctx.prec = p + mpnum.DEFAULT_GUARD_DIGITS
         for i in range(grid):
             x = x_lo + i * step
             ref = maclaurin_ref(s.kind, s.order, s.k, x, p + 10).value

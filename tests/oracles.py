@@ -8,7 +8,8 @@ formula instead of the rising product, reduced ``Fraction`` terms,
 Legendre values and fit polynomials instead of unreduced integers, joined
 ``str`` digits instead of a translated byte string, the paper's other two
 bracket displays instead of its Pochhammer one, a ``Decimal`` division
-instead of one integer ``divmod``.  None of them is on a
+instead of one integer ``divmod``, trial division of the rounded reciprocal
+instead of Legendre's formula on the exact one.  None of them is on a
 runtime path.
 """
 
@@ -227,6 +228,48 @@ def coeff_oracle(
             mac = -mac
         total += mac * k**m * proj
     return BigReal.from_fraction(Fraction(2 * L + 1, 2) * total, precision)
+
+
+#: The factor base of :func:`factorize_reciprocal`: the primes up to 19.
+FACTOR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+class NotNearInteger(ValueError):
+    """Reciprocal of a coefficient is not close enough to an integer.
+
+    Raised by :func:`factorize_reciprocal` when the rounding gap exceeds the
+    caller's tolerance.
+    """
+
+
+def factorize_reciprocal(c: BigReal | Fraction, tol: Fraction) -> PrimePowers:
+    """Round 1/|c| to an integer and trial-divide it over ``FACTOR_PRIMES``.
+
+    ``tol`` bounds the fractional distance between 1/|c| and the nearest
+    integer (so it must lie strictly inside (0, 1/2): a gap of 1/2 would make
+    "nearest" meaningless).  A gap beyond the tolerance raises
+    :class:`NotNearInteger`.  A leftover factor above the primes is not an
+    error; it is reported in the result.
+    """
+    if not (0 < tol < Fraction(1, 2)):
+        raise ValueError("tol must lie in (0, 1/2)")
+    q = c if isinstance(c, Fraction) else c.to_fraction()
+    if q == 0:
+        raise ValueError("cannot factorize the reciprocal of zero")
+    r = 1 / abs(q)
+    nearest = round(r)
+    if nearest < 1 or abs(r - nearest) > tol:
+        raise NotNearInteger(f"1/|c| is not within {tol} of an integer")
+    n = nearest
+    exps = []
+    for p in FACTOR_PRIMES:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            exps.append((p, e))
+    return PrimePowers(exponents=tuple(exps), leftover=n, sign=1 if q > 0 else -1)
 
 
 def reconstruct(pp: PrimePowers) -> int:

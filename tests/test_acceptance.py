@@ -22,12 +22,7 @@ from flbessel.emit import (
     parse_json,
 )
 from flbessel.legendre import monomials
-from flbessel.mpnum import (
-    BigReal,
-    PrimePowers,
-    factorize_reciprocal,
-    pochhammer,
-)
+from flbessel.mpnum import BigReal, PrimePowers, pochhammer
 from flbessel.powerprime import (
     certify_prime_structure,
     exact_power_series,
@@ -49,6 +44,7 @@ from oracles import (
     cauchy_check,
     coeff_oracle,
     compare_power_series,
+    factorize_reciprocal,
     pochhammer_reflect,
 )
 from refdata import (

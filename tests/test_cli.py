@@ -294,6 +294,10 @@ def test_usage_errors_exit_2(capsys):
     ("eval", "I", "1001", "1", "1/2", "--lmax", "4"),
     ("coeffs", "J", "1000000000000", "1", "--lmax", "0", "--digits", "5"),
     ("power", "J", "1001", "1", "--max-power", "4"),
+    # a count of more than 4300 digits, which int() refuses to read
+    ("coeffs", "J", "0", "1", "--lmax", "9" * 5000),
+    ("coeffs", "J", "9" * 5000, "1", "--lmax", "0"),
+    ("verify", "--family", "j0", "--h-range", "0.." + "9" * 5000),
 ])
 def test_out_of_range_input_exits_2_before_any_work(monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):
@@ -305,6 +309,20 @@ def test_out_of_range_input_exits_2_before_any_work(monkeypatch, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("coeffs", "J", "0", "1", "--lmax", "+" + "0" * 5000 + "9" * 5000),
+     "--lmax must be between 0 and 799"),
+    (("coeffs", "J", "9" * 5000, "1", "--lmax", "0"),
+     "order must be between 0 and 1000"),
+    (("verify", "--family", "j0", "--h-range", "0.." + "9" * 5000),
+     "--h-range B is too large"),
+], ids=["lmax", "order", "h-range"])
+def test_a_count_too_long_for_int_names_its_option(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and message in err
 
 
 def run_quietly(*argv):
@@ -463,6 +481,44 @@ def test_verify_at_k_zero(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 2
     assert all(line.endswith(" pass") for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_factorize_past_x170_reports_the_entry_uncertified(capsys, fmt):
+    # 1/|c_172| is about 3.5e312, past the largest float
+    code, out, err = run(capsys, "--format", fmt, "power", "J", "0", "1",
+                         "--max-power", "172", "--factorize")
+    assert code == 0 and err == ""
+    if fmt == "text":
+        assert out.splitlines()[-1].startswith("x^172 not near an integer (nearest ")
+    else:
+        entry = json.loads(out.splitlines()[-1])["entries"][-1]
+        assert entry["power"] == 172 and entry["status"] == "not_near_integer"
+
+
+def test_guard_digits_are_read_where_each_sum_starts(monkeypatch, capsys):
+    # one attribute, mpnum.DEFAULT_GUARD_DIGITS, sets the guard of every sum;
+    # the coefficient cache is keyed by precision, so it is emptied around
+    # the patched run
+    from flbessel import mpnum
+
+    def coefficient():
+        return series._coeff_rational.__wrapped__("J", 0, 0, Fraction(1), 50)
+
+    def table():
+        series._coeff_rational.cache_clear()
+        return run(capsys, "coeffs", "J", "0", "1", "--lmax", "42")
+
+    before, listed = coefficient(), table()
+    try:
+        monkeypatch.setattr(mpnum, "DEFAULT_GUARD_DIGITS", 56)
+        assert coefficient() != before
+        assert as_fraction(coefficient()) != as_fraction(before)
+        assert table() == listed
+    finally:
+        monkeypatch.undo()
+        series._coeff_rational.cache_clear()
+    assert listed[0] == 0
 
 
 def test_computational_error_exit_3(capsys):

@@ -1,7 +1,9 @@
-"""Arithmetic layer: BigReal semantics, gamma, Pochhammer, factorization."""
+"""Arithmetic layer: BigReal semantics, gamma, Pochhammer, and the
+near-integer factorization witness of ``oracles``."""
 
 from __future__ import annotations
 
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -12,18 +14,18 @@ from hypothesis import strategies as st
 
 from flbessel.mpnum import (
     BigReal,
-    NotNearInteger,
     PrimePowers,
-    binomial,
-    factorize_reciprocal,
-    gamma_int_exact,
     gamma_half_exact,
     pochhammer,
-    primes_up_to,
+    recip_gamma_exact,
     render_significant,
 )
+from flbessel.powerprime import PRIMES
 from oracles import (
+    FACTOR_PRIMES,
+    NotNearInteger,
     decimal_from_fraction,
+    factorize_reciprocal,
     join_render_significant,
     pochhammer_reflect,
     reconstruct,
@@ -222,21 +224,19 @@ def test_from_fraction_at_2000_digits_equals_the_decimal_division():
 def test_gamma_half_int_values():
     # Gamma(3/2) = sqrt(pi)/2, Gamma(4) = 3!, Gamma(7/2) = 15 sqrt(pi)/8
     assert gamma_half_exact(1) == Fraction(1, 2)
-    assert gamma_int_exact(4) == 6
+    assert recip_gamma_exact(Fraction(4)) == (Fraction(1, 6), 0)
     assert gamma_half_exact(3) == Fraction(15, 8)
 
 
 def test_gamma_rejects_nonpositive():
-    for bad in (0, -2):
-        with pytest.raises(ValueError):
-            gamma_int_exact(bad)
     with pytest.raises(ValueError):
         gamma_half_exact(-1)
 
 
 def test_gamma_recurrence_exact_up_to_200():
     for n in range(2, 201):
-        assert gamma_int_exact(n) == (n - 1) * gamma_int_exact(n - 1)
+        assert recip_gamma_exact(Fraction(n))[0] * (n - 1) == recip_gamma_exact(
+            Fraction(n - 1))[0]
         assert gamma_half_exact(n) == Fraction(2 * n - 1, 2) * gamma_half_exact(n - 1)
 
 
@@ -291,20 +291,18 @@ def test_binomial_against_pascal_triangle():
     row = [1]
     for n in range(60):
         for r, c in enumerate(row):
-            assert binomial(n, r) == c
+            assert math.comb(n, r) == c
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    assert binomial(42, 21) == 538257874440
-    assert binomial(6, 3) == 20
-    assert binomial(4, -1) == 0
-    assert binomial(4, 5) == 0
+    assert math.comb(42, 21) == 538257874440
+    assert math.comb(6, 3) == 20
 
 
-# -- reciprocal factorization -------------------------------------------------
+# -- the near-integer factorization witness ------------------------------------
 
 
-def test_primes_up_to():
-    assert primes_up_to(19) == (2, 3, 5, 7, 11, 13, 17, 19)
-    assert primes_up_to(23) == (2, 3, 5, 7, 11, 13, 17, 19, 23)
+def test_prime_base_is_the_primes_up_to_19():
+    primes = tuple(n for n in range(2, 20) if all(n % d for d in range(2, n)))
+    assert PRIMES == FACTOR_PRIMES == primes == (2, 3, 5, 7, 11, 13, 17, 19)
 
 
 def test_factorize_examples():

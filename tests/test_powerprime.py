@@ -9,13 +9,22 @@ import pytest
 
 from flbessel.mpnum import BigReal
 from flbessel.powerprime import (
+    CERTIFY_TOL,
+    PowerSeries,
     certify_prime_structure,
     exact_power_series,
+    exact_reciprocal,
     maclaurin_exact,
     to_power_series,
 )
 from flbessel.series import build_series
-from oracles import as_fraction, compare_power_series, monomial_coefficient
+from oracles import (
+    NotNearInteger,
+    as_fraction,
+    compare_power_series,
+    factorize_reciprocal,
+    monomial_coefficient,
+)
 from refdata import J0_EXPONENTS, J1_EXPONENTS, table1_rows, ulp_of
 
 F = Fraction
@@ -153,6 +162,81 @@ def test_exact_series_certifies_every_published_tuple():
         # x^0 of the even series is 1
         if N == 0:
             assert rep.entry(0).factors.exponents == ()
+
+
+@pytest.mark.parametrize("terms", [6, 24, 74])
+@pytest.mark.parametrize("k", [F(1), F(1, 2), F(7, 3), F(-3, 2)])
+@pytest.mark.parametrize("kind", ["J", "I"])
+def test_exact_certificate_matches_trial_division_of_the_nearest(kind, k, terms):
+    # the witness rounds 1/|c_m| and trial-divides it; the package checks the
+    # integer against 2^m j! (j+N)! and factors that by Legendre's formula
+    certified = 0
+    for N in (0, 1, 2, 5, 12):
+        s = build_series(kind, N, k, l_max=N % 2 + 2 * (terms - 1), precision=50)
+        p = to_power_series(s, 43)
+        for (m, c), e in zip(p.coeffs, certify_prime_structure(p).entries):
+            q = c.to_fraction() / k**m
+            try:
+                want = factorize_reciprocal(q, CERTIFY_TOL) if q else None
+            except NotNearInteger:
+                want = None
+            assert e.factors == want, (N, m)
+            assert not (m < N and e.certified), (N, m)
+            certified += e.certified
+    assert certified
+
+
+def _hand_built(order: int, coeffs: dict[int, Fraction]) -> PowerSeries:
+    return PowerSeries(
+        kind="J", order=order, k=F(1),
+        coeffs=tuple((m, BigReal.from_fraction(c, 50)) for m, c in coeffs.items()),
+        provenance=0, precision=50,
+    )
+
+
+def test_an_integer_reciprocal_other_than_the_exact_one_is_not_certified():
+    # 1/|c_4| of J_0 is 2^4 2! 2! = 64; 63 = 3^2 7 is an integer near
+    # nothing the series can converge to, and so is 64 at the wrong parity
+    assert exact_reciprocal(0, 2) == 64
+    p = _hand_built(0, {0: F(1), 4: F(1, 63), 5: F(1, 64), 6: F(-1, 2304)})
+    rep = certify_prime_structure(p)
+    assert [e.certified for e in rep.entries] == [True, False, False, True]
+    assert rep.entry(4).nearest == 63
+    assert rep.entry(4).gap.to_fraction() <= CERTIFY_TOL
+    assert factorize_reciprocal(F(1, 63), CERTIFY_TOL).exponents == ((3, 2), (7, 1))
+    assert rep.entry(6).factors.exponents == ((2, 8), (3, 2))
+    assert rep.entry(6).factors.sign == -1
+
+
+def test_nothing_below_x_to_the_n_is_certified():
+    # the exact coefficient below x^N is 0, so no reciprocal exists there,
+    # however integer the printed one is
+    p = _hand_built(4, {0: F(1), 2: F(1, 8), 4: F(1, 384)})
+    rep = certify_prime_structure(p)
+    assert [e.certified for e in rep.entries] == [False, False, True]
+    assert rep.entry(2).nearest == 8 and rep.entry(2).gap.is_zero()
+    for kind in ("J", "I"):
+        for N in (2, 5, 12):
+            s = build_series(kind, N, 1, l_max=N % 2 + 46, precision=50)
+            for e in certify_prime_structure(to_power_series(s, N + 10)).entries:
+                assert e.certified == (e.power >= N), (kind, N, e.power)
+
+
+def test_eight_primes_are_exact_while_j_plus_n_is_at_most_22():
+    # the abstract's inverse powers of 2..19: exact up to j+N = 22, and the
+    # prime 23 enters the leftover at j+N = 23
+    for kind in ("J", "I"):
+        for N in range(13):
+            rep = certify_prime_structure(exact_power_series(kind, N, 80, precision=200))
+            assert rep.all_certified
+            for e in rep.entries:
+                j = (e.power - N) // 2
+                left = e.factors.leftover
+                assert (left == 1) == (j + N <= 22), (kind, N, j)
+                if j + N == 23:
+                    assert left == 23 ** (1 + (j == 23)), (kind, N, j)
+                if j + N > 22:
+                    assert left % 23 == 0
 
 
 def test_certified_sign_patterns(j0_74terms):
