@@ -43,7 +43,9 @@ lower parameter is a nonpositive integer: the reciprocal gamma is exactly
 zero there, so the leading terms vanish until the parameter climbs past
 zero.  With one half-integer lower parameter the regularized terms share a
 common factor 1/sqrt(pi); the rational part is accumulated exactly and the
-power of sqrt(pi) is returned beside it.
+power of sqrt(pi) is returned beside it.  The first term, Pochhammer
+symbols, reciprocal gammas and z^n0/n0! together, is built as one integer
+numerator and one integer denominator and normalized once.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from itertools import chain, islice
 from typing import Iterable
 
 from . import mpnum
-from .mpnum import pochhammer, recip_gamma_exact
 
 
 class LowerParamPole(ValueError):
@@ -87,21 +88,19 @@ def plain_terms(
     """Integer pairs (p, q), q > 0: term ``start`` as p/q, then each ratio.
 
     The first pair is ``first`` itself, the value of term ``start`` (the
-    default starts the plain series at t_0 = 1).  Every later pair is the
-    ratio t_{n+1}/t_n, built from the numerators and denominators of the
-    parameters and of z without any gcd, so the running product of the
-    pairs is the term.
+    default starts the plain series at t_0 = 1), already in lowest terms.
+    Every later pair is the ratio t_{n+1}/t_n, built from the numerators
+    and denominators of the parameters and of z without any gcd, so the
+    running product of the pairs is the term.
     """
-    ups = [(a.numerator, a.denominator) for a in map(Fraction, upper)]
-    lows = [(b.numerator, b.denominator) for b in map(Fraction, lower)]
-    z = Fraction(z)
+    ups = [(a.numerator, a.denominator) for a in upper]
+    lows = [(b.numerator, b.denominator) for b in lower]
     # the parameter denominators and z are the same in every ratio
     p_const, q_const = z.numerator, z.denominator
     for _, d in lows:
         p_const *= d
     for _, d in ups:
         q_const *= d
-    first = Fraction(first)
     yield first.numerator, first.denominator
     n = start
     while True:
@@ -309,30 +308,45 @@ def regularized_sum_rational(
 
     Lower parameters must be integers or half-integers so the reciprocal
     gammas stay exact.  Nonpositive-integer lower parameters zero out the
-    head of the series; summation starts at the first index where every
+    head of the series; summation starts at the first index n0 where every
     integer lower parameter has climbed to one or above.
+
+    The first term prod (a)_n0 / prod Gamma(b + n0) * z^n0 / n0! is built
+    from the parameters' numerators and denominators as one integer pair
+    and normalized once: (p/d)_n0 = p (p+d) ... (p+(n0-1)d) / d^n0,
+    1/Gamma(n) = 1/(n-1)! and 1/Gamma(m + 1/2) = 4^m m! / (2m)! times
+    1/sqrt(pi).
     """
-    n0 = 0
-    for b in lower:
-        if _is_nonpositive_int(b):
-            n0 = max(n0, 1 - int(b))
+    n0 = max([0] + [1 - b.numerator for b in lower if b.denominator == 1])
 
     # A terminating numerator that dies before the head vanishes leaves
     # nothing to sum.
     for a in upper:
-        if _is_nonpositive_int(a) and -int(a) < n0:
+        if _is_nonpositive_int(a) and -a.numerator < n0:
             return (0, 1), 0
 
-    first = Fraction(1)
+    num, den = z.numerator**n0, z.denominator**n0 * math.factorial(n0)
     for a in upper:
-        first *= pochhammer(a, n0)
+        p, d = a.numerator, a.denominator
+        num *= math.prod(range(p, p + n0 * d, d))
+        den *= d**n0
     sqrtpi_power = 0
     for b in lower:
-        q, s = recip_gamma_exact(b + n0)
-        first *= q
-        sqrtpi_power += s
-    first *= z**n0 / math.factorial(n0)
+        d = b.denominator
+        p = b.numerator + n0 * d  # b + n0 = p/d, in lowest terms
+        if d == 1:
+            den *= math.factorial(p - 1)  # p >= 1 by the choice of n0
+        elif d == 2 and p > 0:
+            m = (p - 1) // 2
+            num *= 4**m * math.factorial(m)
+            den *= math.factorial(2 * m)
+            sqrtpi_power -= 1
+        elif d == 2:
+            raise ValueError("reciprocal gamma below 1/2 not supported")
+        else:
+            raise ValueError(
+                f"gamma argument must be integer or half-integer, got {Fraction(p, d)}")
 
-    terms = plain_terms(upper, lower, z, first, n0)
+    terms = plain_terms(upper, lower, z, Fraction(num, den), n0)
     digits = precision + mpnum.DEFAULT_GUARD_DIGITS
     return sum_terms(terms, digits, term_cap(precision) + 1), sqrtpi_power

@@ -8,9 +8,7 @@ together with that digit count.  A
 ``BigReal`` is canonical -- the stored value carries no hidden digits beyond
 ``precision`` -- so rendering to text and parsing back is the identity.
 
-On top of those sit the small number-theoretic helpers the series machinery
-needs: gamma at integer and half-integer arguments (exact, with the
-sqrt(pi) factor kept apart), Pochhammer symbols, and the record of a
+On top of those sit the Pochhammer symbol and the record of a
 factorization over a small prime base.
 
 All values are immutable and all functions are pure; any of this may be
@@ -185,41 +183,6 @@ class BigReal:
 
     def is_zero(self) -> bool:
         return self.value.is_zero()
-
-
-# ---------------------------------------------------------------------------
-# gamma at integer and half-integer arguments
-# ---------------------------------------------------------------------------
-
-
-def gamma_half_exact(m: int) -> Fraction:
-    """Gamma(m + 1/2) / sqrt(pi) as an exact rational, m >= 0.
-
-    Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!).
-    """
-    if m < 0:
-        raise ValueError("half-integer gamma below 1/2 is not needed here")
-    return Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
-
-
-def recip_gamma_exact(arg: Fraction) -> tuple[Fraction, int]:
-    """1 / Gamma(arg) for integer or positive half-integer ``arg``.
-
-    Returns ``(q, s)`` meaning q * pi^(s/2).  At nonpositive integers the
-    reciprocal gamma is exactly zero, which is what lets the regularized
-    hypergeometric series start cleanly past its vanishing head.
-    """
-    if arg.denominator == 1:
-        n = int(arg)
-        if n <= 0:
-            return Fraction(0), 0
-        return Fraction(1, math.factorial(n - 1)), 0
-    if arg.denominator == 2:
-        m = (arg.numerator - 1) // 2
-        if m < 0:
-            raise ValueError("reciprocal gamma below 1/2 not supported")
-        return 1 / gamma_half_exact(m), -1
-    raise ValueError(f"gamma argument must be integer or half-integer, got {arg}")
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import mpnum
-from .mpnum import BigReal, gamma_half_exact
+from .mpnum import BigReal
 from .hypergeom import (
     plain_sum_rational,
     plain_terms,
@@ -147,15 +147,15 @@ def coeff_rational_reduced(
 ) -> tuple[int, int]:
     """The reduced-order 1F2 route, valid for N in {0, 1} only.
 
-    sqrt(pi)/Gamma(L+3/2) folds into the rational prefactor, so the whole
-    value is an exact rational, returned as an unreduced pair.
+    sqrt(pi)/Gamma(L+3/2) = 4^(L+1) (L+1)! / (2L+2)! folds into the
+    rational prefactor, its 4^(L+1) cancelling the 2^-(2L+2), so the whole
+    value is an exact rational, returned as an unreduced pair.  The
+    prefactor is one integer pair, normalized once.
     """
-    pref = (
-        Fraction(2 * (2 * L + 1), 2 ** (2 * L + 2))
-        * Fraction(k) ** L
-        * sigma
-        * math.comb(L, (L - N) // 2)
-        / gamma_half_exact(L + 1)
+    pref = Fraction(
+        2 * (2 * L + 1) * sigma * math.comb(L, (L - N) // 2)
+        * math.factorial(L + 1) * k.numerator**L,
+        k.denominator**L * math.factorial(2 * L + 2),
     )
     return _scaled(pref, plain_sum_rational(*reduced_parameters(L, N), z, precision))
 
@@ -176,12 +176,8 @@ def coeff_rational_general(
     # carries 1/sqrt(pi) and the prefactor's sqrt(pi) cancels it.
     if q[0] != 0 and sqrtpi_power != -1:
         raise AssertionError("unexpected sqrt(pi) power in regularized sum")
-    pref = (
-        Fraction(2 * (2 * L + 1), 2 ** (2 * L + 2))
-        * Fraction(k) ** L
-        * sigma
-        * math.factorial(L)
-    )
+    pref = Fraction(2 * (2 * L + 1) * sigma * math.factorial(L) * k.numerator**L,
+                    k.denominator**L * 2 ** (2 * L + 2))
     return _scaled(pref, q)
 
 
@@ -325,15 +321,19 @@ def maclaurin_ref(
     """Reference value of J_N(kx) or I_N(kx) from the ascending series.
 
     The series is (kx/2)^N / N! * 0F1(; N+1; -+(kx/2)^2), so the generic
-    term recurrence yields it with no upper parameters.
+    term recurrence yields it with no upper parameters; with kx/2 = hn/hd
+    the argument is -+hn^2/hd^2 and the first term hn^N / (hd^N N!).  The
+    terms peak near n = |kx|/2 and fall below the stopping rule about
+    e |kx|/2 terms in, which the cap's 3 ceil(|kx|/2) covers.
     """
     _check_kind(kind)
     half = Fraction(k) * Fraction(x) / 2
-    hh = half * half
-    if kind == "J":
-        hh = -hh
-    terms = plain_terms((), (Fraction(N + 1),), hh, half**N / math.factorial(N))
-    q = sum_terms(terms, precision + mpnum.DEFAULT_GUARD_DIGITS, 10 * precision + 501)
+    hn, hd = half.numerator, half.denominator
+    hh = Fraction(-hn * hn if kind == "J" else hn * hn, hd * hd)
+    terms = plain_terms((), (Fraction(N + 1),), hh,
+                        Fraction(hn**N, hd**N * math.factorial(N)))
+    cap = 10 * precision + 501 + 3 * -(-abs(hn) // hd)
+    q = sum_terms(terms, precision + mpnum.DEFAULT_GUARD_DIGITS, cap)
     return BigReal.from_fraction(q, precision)
 
 

@@ -9,8 +9,9 @@ Legendre values and fit polynomials instead of unreduced integers, joined
 ``str`` digits instead of a translated byte string, the paper's other two
 bracket displays instead of its Pochhammer one, a ``Decimal`` division
 instead of one integer ``divmod``, trial division of the rounded reciprocal
-instead of Legendre's formula on the exact one.  None of them is on a
-runtime path.
+instead of Legendre's formula on the exact one, chains of reduced
+``Fraction`` products for each first term and prefactor instead of one
+integer pair normalized once.  None of them is on a runtime path.
 """
 
 from __future__ import annotations
@@ -20,17 +21,28 @@ from decimal import ROUND_05UP, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-from flbessel.hypergeom import TermCapExceeded
+from flbessel.hypergeom import (
+    TermCapExceeded,
+    plain_sum_rational,
+    plain_terms,
+    sum_terms,
+    term_cap,
+)
 from flbessel.mpnum import (
     DEFAULT_GUARD_DIGITS,
     BigReal,
     PrimePowers,
     _round_sig,
-    gamma_half_exact,
     pochhammer,
 )
 from flbessel.powerprime import PowerSeries
-from flbessel.series import _ALLEN, FLSeries
+from flbessel.series import (
+    _ALLEN,
+    FLSeries,
+    _phase_and_argument,
+    _scaled,
+    reduced_parameters,
+)
 from flbessel.sumverify import SumSpec, partial_sums_rational, term_rational
 
 
@@ -46,6 +58,98 @@ def as_fraction(pair: tuple[int, int]) -> Fraction:
 def pochhammer_reflect(a: Fraction, n: int) -> Fraction:
     """(-a)_n computed through the reflection (-a)_n = (-1)^n (a-n+1)_n."""
     return (-1) ** n * pochhammer(a - n + 1, n)
+
+
+def gamma_half_exact(m: int) -> Fraction:
+    """Gamma(m + 1/2) / sqrt(pi) as an exact rational, m >= 0.
+
+    Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!).
+    """
+    if m < 0:
+        raise ValueError("half-integer gamma below 1/2 is not needed here")
+    return Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
+
+
+def recip_gamma_exact(arg: Fraction) -> tuple[Fraction, int]:
+    """1 / Gamma(arg) for integer or positive half-integer ``arg``.
+
+    Returns ``(q, s)`` meaning q * pi^(s/2).  At nonpositive integers the
+    reciprocal gamma is exactly zero, which is what lets the regularized
+    hypergeometric series start cleanly past its vanishing head.
+    """
+    if arg.denominator == 1:
+        n = int(arg)
+        if n <= 0:
+            return Fraction(0), 0
+        return Fraction(1, math.factorial(n - 1)), 0
+    if arg.denominator == 2:
+        m = (arg.numerator - 1) // 2
+        if m < 0:
+            raise ValueError("reciprocal gamma below 1/2 not supported")
+        return 1 / gamma_half_exact(m), -1
+    raise ValueError(f"gamma argument must be integer or half-integer, got {arg}")
+
+
+def fraction_regularized_sum(
+    upper: tuple[Fraction, ...],
+    lower: tuple[Fraction, ...],
+    z: Fraction,
+    precision: int,
+) -> tuple[tuple[int, int], int]:
+    """``hypergeom.regularized_sum_rational`` with the first term built as
+    a chain of reduced ``Fraction`` products of Pochhammer symbols,
+    reciprocal gammas and z^n0 / n0!, instead of one integer pair
+    normalized once; the sum itself is the package's."""
+    n0 = 0
+    for b in lower:
+        if b.denominator == 1 and b <= 0:
+            n0 = max(n0, 1 - int(b))
+    for a in upper:
+        if a.denominator == 1 and a <= 0 and -int(a) < n0:
+            return (0, 1), 0
+    first = Fraction(1)
+    for a in upper:
+        first *= pochhammer(a, n0)
+    sqrtpi_power = 0
+    for b in lower:
+        q, s = recip_gamma_exact(b + n0)
+        first *= q
+        sqrtpi_power += s
+    first *= z**n0 / math.factorial(n0)
+    terms = plain_terms(upper, lower, z, first, n0)
+    digits = precision + DEFAULT_GUARD_DIGITS
+    return sum_terms(terms, digits, term_cap(precision) + 1), sqrtpi_power
+
+
+def fraction_coeff_rational(
+    kind: str, L: int, N: int, k: Fraction, precision: int
+) -> tuple[int, int]:
+    """``series._coeff_rational`` with each prefactor a chain of reduced
+    ``Fraction`` products, sqrt(pi)/Gamma(L+3/2) through
+    :func:`gamma_half_exact`, and the regularized sum's first term from
+    :func:`fraction_regularized_sum`."""
+    if (L + N) % 2 == 1:
+        return 0, 1
+    sigma, z = _phase_and_argument(kind, L, N, k)
+    pref = Fraction(2 * (2 * L + 1), 2 ** (2 * L + 2)) * Fraction(k) ** L * sigma
+    if N in (0, 1):
+        pref = pref * math.comb(L, (L - N) // 2) / gamma_half_exact(L + 1)
+        return _scaled(pref, plain_sum_rational(*reduced_parameters(L, N), z, precision))
+    upper = (Fraction(L + 1, 2), Fraction(L + 2, 2))
+    lower = (Fraction(2 * L + 3, 2), Fraction((L - N) // 2 + 1),
+             Fraction((L + N) // 2 + 1))
+    q, _ = fraction_regularized_sum(upper, lower, z, precision)
+    return _scaled(pref * math.factorial(L), q)
+
+
+def fraction_maclaurin_series(
+    kind: str, N: int, k: Fraction, x: Fraction
+) -> tuple[Fraction, Fraction]:
+    """(z, first term) of the ascending series of ``series.maclaurin_ref``
+    as reduced ``Fraction`` products: z = -+(kx/2)^2, first (kx/2)^N / N!."""
+    half = Fraction(k) * Fraction(x) / 2
+    hh = half * half
+    return (-hh if kind == "J" else hh), half**N / math.factorial(N)
 
 
 def term_direct(

@@ -454,6 +454,19 @@ def test_totals_at_the_command_bounds_are_accepted(capsys):
     assert code == 0 and "at x = -3" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("bench", "--which", "j0", "--range", "0..1000"),
+    ("bench", "--which", "j0", "--range=-1400..1400"),
+    ("--digits", "5", "bench", "--which", "j1", "--range", "0..500"),
+])
+def test_bench_over_an_admitted_range_converges(capsys, argv):
+    # the reference's ascending-series terms peak near n = |x|/2 and reach
+    # the stopping rule about e|x|/2 terms in, past a cap blind to |x|
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.count("max |error|") == 2
+
+
 def test_one_parser_serves_every_call(capsys, tmp_path):
     # the parser is built once per process; options given to one call must
     # not leak into the next

@@ -22,13 +22,16 @@ from flbessel.hypergeom import (
     sum_terms,
     term_cap,
 )
-from flbessel.mpnum import (
-    BigReal,
+from flbessel.mpnum import BigReal, pochhammer
+from oracles import (
+    as_fraction,
+    fraction_regularized_sum,
+    fraction_sum_terms,
+    fraction_terms,
     gamma_half_exact,
-    pochhammer,
     recip_gamma_exact,
+    term_direct,
 )
-from oracles import as_fraction, fraction_sum_terms, fraction_terms, term_direct
 from refdata import BRUTE_2F3, BRUTE_2F3_REG_ZERO, PI_70
 
 F = Fraction
@@ -510,3 +513,38 @@ def test_a_growing_pair_bounds_what_a_wrong_estimate_can_pull(monkeypatch):
     got = as_fraction(sum_terms(counted(pairs, seen), 20, 120))
     assert got == 49 + 2 * F(1, 10**40)
     assert len(seen) == 52
+
+
+# -- the first term as one integer pair ------------------------------------------
+
+#: Regularized sums whose first term is not 1, each as (upper, lower,
+#: z, precision): the 2000-digit J3 sum of ``TABLE_SUMS``, heads of n0 > 0
+#: with a half-integer and a third, z = 0 with n0 > 0, and terminating
+#: upper parameters that die before and after n0.
+FIRST_TERM_SUMS = {
+    "2F3 J3 k=7/3 L=145": TABLE_SUMS["2F3 J3 k=7/3 L=145"][:3] + (2000,),
+    "n0=3": ((F(1, 2), F(7, 3)), (F(3, 2), F(-2), F(4)), F(-49, 9), 50),
+    "n0=3, z=0": ((F(1, 2), F(7, 3)), (F(3, 2), F(-2), F(4)), F(0), 50),
+    "n0=2, half-integer at 1/2": ((F(5, 3),), (F(-3, 2), F(-1)), F(9, 4), 50),
+    "-1 dies before n0=3": ((F(-1), F(5, 2)), (F(5, 2), F(-2), F(1)), F(-1, 4), 50),
+    "-3 outlives n0=3": ((F(-3), F(5, 2)), (F(5, 2), F(-2), F(1)), F(-1, 4), 50),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_TERM_SUMS))
+def test_first_term_gives_the_integers_of_the_fraction_products(name):
+    # one normalization of the integer product is the lowest-terms pair a
+    # chain of reduced Fraction products ends in, so the sum gets the same
+    # integers and returns the same unreduced pair
+    args = FIRST_TERM_SUMS[name]
+    assert regularized_sum_rational(*args) == fraction_regularized_sum(*args)
+
+
+@pytest.mark.parametrize("lower, message", [
+    ((F(1, 3), F(2)), "integer or half-integer, got 1/3"),
+    ((F(-5, 2), F(-1)), "below 1/2"),  # n0 = 2 leaves -1/2
+])
+def test_first_term_refuses_what_the_reciprocal_gammas_refuse(lower, message):
+    for route in (regularized_sum_rational, fraction_regularized_sum):
+        with pytest.raises(ValueError, match=message):
+            route((F(1, 2),), lower, F(-1, 4), 20)

@@ -12,22 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flbessel.mpnum import (
-    BigReal,
-    PrimePowers,
-    gamma_half_exact,
-    pochhammer,
-    recip_gamma_exact,
-    render_significant,
-)
+from flbessel.mpnum import BigReal, PrimePowers, pochhammer, render_significant
 from flbessel.powerprime import PRIMES
 from oracles import (
     FACTOR_PRIMES,
     NotNearInteger,
     decimal_from_fraction,
     factorize_reciprocal,
+    gamma_half_exact,
     join_render_significant,
     pochhammer_reflect,
+    recip_gamma_exact,
     reconstruct,
 )
 

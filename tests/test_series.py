@@ -27,7 +27,14 @@ from flbessel.series import (
     _phase_and_argument,
 )
 from flbessel.series import FLSeries
-from oracles import as_fraction, coeff_oracle, fraction_eval_allen, fraction_eval_series
+from oracles import (
+    as_fraction,
+    coeff_oracle,
+    fraction_coeff_rational,
+    fraction_eval_allen,
+    fraction_eval_series,
+    fraction_maclaurin_series,
+)
 from refdata import TRUE_VALUES
 
 F = Fraction
@@ -89,6 +96,37 @@ def test_modified_is_argument_flip_of_plain():
         assert got == want
         mod = coeff_a_modified(L, N, k, 40)
         assert abs(mod.to_fraction() - want) <= abs(want or F(1)) * F(1, 10**38)
+
+
+def test_coefficients_give_the_integers_of_the_fraction_products():
+    # each prefactor and first term built as one integer pair and normalized
+    # once is the lowest-terms pair of the reduced Fraction products, so
+    # every coefficient is the same unreduced (n, d)
+    for kind in ("J", "I"):
+        for N in (0, 1, 2, 3, 5, 12, 40):
+            for k in (F(1), F(7, 3), F(1, 10), F(-3, 2), F(9, 2)):
+                for L in range(N % 2, 41, 2):
+                    got = series._coeff_rational.__wrapped__(kind, L, N, k, 50)
+                    assert got == fraction_coeff_rational(kind, L, N, k, 50)
+
+
+def test_maclaurin_series_is_the_fraction_products(monkeypatch):
+    # z and the first term reach plain_terms as Fractions, whose equality
+    # is that of their lowest-terms numerators and denominators
+    seen = []
+    plain_terms = series.plain_terms
+
+    def spy(upper, lower, z, first):
+        seen.append((z, first))
+        return plain_terms(upper, lower, z, first)
+
+    monkeypatch.setattr(series, "plain_terms", spy)
+    for kind in ("J", "I"):
+        for N in (0, 1, 2, 5, 12):
+            for k in (F(1), F(7, 3), F(1, 10), F(-3, 2), F(9, 2)):
+                for x in (F(1), F(-1, 2), F(3, 7), F(0)):
+                    maclaurin_ref(kind, N, k, x, 30)
+                    assert seen.pop() == fraction_maclaurin_series(kind, N, k, x)
 
 
 def test_oracle_equivalence_sample():

@@ -332,7 +332,8 @@ def test_even_only_display_transcribed_literally_is_half_the_term():
     # limit 1).  Pin that relationship so the discrepancy stays visible.
     import math
 
-    from flbessel.mpnum import gamma_half_exact, pochhammer
+    from flbessel.mpnum import pochhammer
+    from oracles import gamma_half_exact
 
     sp = spec(h=0, terms=17)
     for L in (0, 2, 4, 10, 16):
