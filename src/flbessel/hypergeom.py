@@ -16,6 +16,8 @@ of the Bessel functions -- is generated by :func:`plain_terms` and summed by
 :func:`sum_terms`.  The generator yields integer pairs: the first term, then
 the ratio t_{n+1}/t_n as an unreduced integer numerator and a positive
 integer denominator built from the parameters' numerators and denominators.
+An upper parameter equal to a lower one is dropped with it, so a 2F3 with
+such a pair sums as the 1F2 it reduces to.
 The sum keeps term n as P/Q and the partial sum as T/Q, with no gcd along
 the way, and returns the pair (T, Q) as it stands: rounding it needs only
 the quotient (``BigReal.from_fraction`` divides T by Q once), never lowest
@@ -65,22 +67,24 @@ class LowerParamPole(ValueError):
 class TermCapExceeded(RuntimeError):
     """The series failed to meet the termination rule within the term cap.
 
-    Each caller's cap is about 10 * precision terms (``term_cap``); hitting
-    it means divergence or a bug, never something to truncate silently.
+    Each caller's cap is about 10 * precision + 3 sqrt|z| terms (``term_cap``,
+    :func:`_sum_cap`); hitting it means divergence or a bug, never something
+    to truncate silently.
     """
-
-
-def _is_nonpositive_int(q: Fraction) -> bool:
-    return q.denominator == 1 and q <= 0
 
 
 def term_cap(precision: int) -> int:
     return 10 * precision + 200
 
 
+def _sum_cap(precision: int, z: Fraction) -> int:
+    """``term_cap`` plus 3 (isqrt(floor |z|) + 1): the terms peak near sqrt|z|."""
+    return term_cap(precision) + 3 * (math.isqrt(abs(z.numerator) // z.denominator) + 1)
+
+
 def plain_terms(
     upper: tuple[Fraction, ...],
-    lower: tuple[Fraction, ...],
+    lower: tuple[Fraction | int, ...],
     z: Fraction,
     first: Fraction = Fraction(1),
     start: int = 0,
@@ -91,10 +95,16 @@ def plain_terms(
     default starts the plain series at t_0 = 1), already in lowest terms.
     Every later pair is the ratio t_{n+1}/t_n, built from the numerators
     and denominators of the parameters and of z without any gcd, so the
-    running product of the pairs is the term.
+    running product of the pairs is the term.  An upper parameter equal to
+    a lower one puts a factor 1 in every ratio, so the two are dropped, one
+    for one.
     """
     ups = [(a.numerator, a.denominator) for a in upper]
     lows = [(b.numerator, b.denominator) for b in lower]
+    for pair in list(ups):
+        if pair in lows:
+            ups.remove(pair)
+            lows.remove(pair)
     # the parameter denominators and z are the same in every ratio
     p_const, q_const = z.numerator, z.denominator
     for _, d in lows:
@@ -284,52 +294,56 @@ def _is_small(P: int, T: int, scale: int, scale_bits: int) -> bool:
 
 def plain_sum_rational(
     upper: tuple[Fraction, ...],
-    lower: tuple[Fraction, ...],
+    lower: tuple[Fraction | int, ...],
     z: Fraction,
     precision: int,
 ) -> tuple[int, int]:
     """Exact partial sum of pFq meeting the two-small-terms rule, as the
     unreduced pair (T, Q) of :func:`sum_terms`."""
     for b in lower:
-        if _is_nonpositive_int(b):
+        if b.denominator == 1 and b <= 0:
             raise LowerParamPole(f"lower parameter {b} is a nonpositive integer")
     return sum_terms(plain_terms(upper, lower, z),
-                     precision + mpnum.DEFAULT_GUARD_DIGITS, term_cap(precision))
+                     precision + mpnum.DEFAULT_GUARD_DIGITS, _sum_cap(precision, z))
 
 
 def regularized_sum_rational(
     upper: tuple[Fraction, ...],
-    lower: tuple[Fraction, ...],
+    lower: tuple[Fraction | int, ...],
     z: Fraction,
     precision: int,
 ) -> tuple[tuple[int, int], int]:
     """Exact regularized sum as ``((T, Q), s)`` with value T/Q * sqrt(pi)^s,
     the pair unreduced as :func:`sum_terms` returns it.
 
-    Lower parameters must be integers or half-integers so the reciprocal
-    gammas stay exact.  Nonpositive-integer lower parameters zero out the
-    head of the series; summation starts at the first index n0 where every
-    integer lower parameter has climbed to one or above.
+    Lower parameters must be integers or half-integers (an ``int`` or a
+    ``Fraction``) so the reciprocal gammas stay exact.  Nonpositive-integer
+    lower parameters zero out the head of the series; summation starts at
+    the first index n0 where every integer lower parameter has climbed to
+    one or above.
 
     The first term prod (a)_n0 / prod Gamma(b + n0) * z^n0 / n0! is built
     from the parameters' numerators and denominators as one integer pair
     and normalized once: (p/d)_n0 = p (p+d) ... (p+(n0-1)d) / d^n0,
     1/Gamma(n) = 1/(n-1)! and 1/Gamma(m + 1/2) = 4^m m! / (2m)! times
-    1/sqrt(pi).
+    1/sqrt(pi).  With n0 = 0 the plain sum's pair is scaled by it, the
+    integers the first term folded into the sum would give.
     """
     n0 = max([0] + [1 - b.numerator for b in lower if b.denominator == 1])
 
     # A terminating numerator that dies before the head vanishes leaves
     # nothing to sum.
     for a in upper:
-        if _is_nonpositive_int(a) and -a.numerator < n0:
+        if a.denominator == 1 and -n0 < a <= 0:
             return (0, 1), 0
 
-    num, den = z.numerator**n0, z.denominator**n0 * math.factorial(n0)
-    for a in upper:
-        p, d = a.numerator, a.denominator
-        num *= math.prod(range(p, p + n0 * d, d))
-        den *= d**n0
+    num = den = 1
+    if n0:
+        num, den = z.numerator**n0, z.denominator**n0 * math.factorial(n0)
+        for a in upper:
+            p, d = a.numerator, a.denominator
+            num *= math.prod(range(p, p + n0 * d, d))
+            den *= d**n0
     sqrtpi_power = 0
     for b in lower:
         d = b.denominator
@@ -347,6 +361,10 @@ def regularized_sum_rational(
             raise ValueError(
                 f"gamma argument must be integer or half-integer, got {Fraction(p, d)}")
 
-    terms = plain_terms(upper, lower, z, Fraction(num, den), n0)
-    digits = precision + mpnum.DEFAULT_GUARD_DIGITS
-    return sum_terms(terms, digits, term_cap(precision) + 1), sqrtpi_power
+    first = Fraction(num, den)
+    if n0 == 0:
+        T, Q = plain_sum_rational(upper, lower, z, precision)
+        return (first.numerator * T, first.denominator * Q), sqrtpi_power
+    return sum_terms(plain_terms(upper, lower, z, first, n0),
+                     precision + mpnum.DEFAULT_GUARD_DIGITS,
+                     _sum_cap(precision, z) + 1), sqrtpi_power

@@ -13,12 +13,12 @@ as N exceeds L: one of the plain form's lower parameters walks through a
 nonpositive integer, and only the reciprocal-gamma weights keep the value
 finite.
 
-For N = 0 and N = 1 a parameter collision reduces the order to a plain 1F2
-with an exact rational prefactor; both orders N in {0, 1} use that faster
-path.  In every case the final coefficient is an exact rational (the
-sqrt(pi) factors cancel analytically), rounded once at the end.  It is
-carried as an unreduced integer pair (n, d), d > 0, straight from the sum
-to that rounding: no gcd of the sum's integers is ever taken.
+Every order takes this one route; at N in {0, 1} an upper parameter equals
+a lower one and the term generator drops the pair, leaving a 1F2.  The
+coefficient is an exact rational (the sqrt(pi) factors cancel), rounded
+once at the end.  It is carried as an unreduced integer pair (n, d), d > 0,
+straight from the sum to that rounding: no gcd of the sum's integers is
+ever taken.
 
 The modified-function coefficients are the same formula with argument
 +k^2/4 and sigma = +1: substituting an imaginary scale into the J series
@@ -40,12 +40,7 @@ from functools import cached_property, lru_cache
 
 from . import mpnum
 from .mpnum import BigReal
-from .hypergeom import (
-    plain_sum_rational,
-    plain_terms,
-    regularized_sum_rational,
-    sum_terms,
-)
+from .hypergeom import plain_terms, regularized_sum_rational, sum_terms
 
 #: Hard ceiling on stored series entries; reaching it means the tail
 #: threshold was never met.
@@ -115,21 +110,11 @@ def _check_kind(kind: str) -> str:
 
 
 def _phase_and_argument(kind: str, L: int, N: int, k: Fraction) -> tuple[int, Fraction]:
-    """(sigma, z): the real quarter-turn phase and the series argument."""
-    z = Fraction(k) ** 2 / 4
+    """(sigma, z): the real quarter-turn phase and the series argument -+k^2/4."""
+    n, d = k.numerator, k.denominator
     if kind == "J":
-        return (-1 if ((L - N) // 2) % 2 else 1), -z
-    return 1, z
-
-
-def reduced_parameters(
-    L: int, N: int
-) -> tuple[tuple[Fraction], tuple[Fraction, Fraction]]:
-    """Upper and lower parameters of the reduced 1F2, for N in {0, 1}:
-
-    1F2((L+N+1)/2; (L+N+2)/2, L+3/2; z).
-    """
-    return (Fraction(L + N + 1, 2),), (Fraction(L + N + 2, 2), Fraction(2 * L + 3, 2))
+        return (-1 if ((L - N) // 2) % 2 else 1), Fraction(-n * n, 4 * d * d)
+    return 1, Fraction(n * n, 4 * d * d)
 
 
 def _scaled(f: Fraction, pair: tuple[int, int]) -> tuple[int, int]:
@@ -142,35 +127,13 @@ def _scaled(f: Fraction, pair: tuple[int, int]) -> tuple[int, int]:
     return (a // g1) * (n // g2), (b // g2) * (d // g1)
 
 
-def coeff_rational_reduced(
-    L: int, N: int, k: Fraction, z: Fraction, sigma: int, precision: int
-) -> tuple[int, int]:
-    """The reduced-order 1F2 route, valid for N in {0, 1} only.
-
-    sqrt(pi)/Gamma(L+3/2) = 4^(L+1) (L+1)! / (2L+2)! folds into the
-    rational prefactor, its 4^(L+1) cancelling the 2^-(2L+2), so the whole
-    value is an exact rational, returned as an unreduced pair.  The
-    prefactor is one integer pair, normalized once.
-    """
-    pref = Fraction(
-        2 * (2 * L + 1) * sigma * math.comb(L, (L - N) // 2)
-        * math.factorial(L + 1) * k.numerator**L,
-        k.denominator**L * math.factorial(2 * L + 2),
-    )
-    return _scaled(pref, plain_sum_rational(*reduced_parameters(L, N), z, precision))
-
-
 def coeff_rational_general(
     L: int, N: int, k: Fraction, z: Fraction, sigma: int, precision: int
 ) -> tuple[int, int]:
     """The regularized 2F3 route, finite for every N (including N > L),
     as an unreduced pair."""
     upper = (Fraction(L + 1, 2), Fraction(L + 2, 2))
-    lower = (
-        Fraction(2 * L + 3, 2),
-        Fraction((L - N) // 2 + 1),
-        Fraction((L + N) // 2 + 1),
-    )
+    lower = (Fraction(2 * L + 3, 2), (L - N) // 2 + 1, (L + N) // 2 + 1)
     q, sqrtpi_power = regularized_sum_rational(upper, lower, z, precision)
     # Exactly one lower parameter is half-integer, so the regularized sum
     # carries 1/sqrt(pi) and the prefactor's sqrt(pi) cancels it.
@@ -190,8 +153,6 @@ def _coeff_rational(
     if (L + N) % 2 == 1:
         return 0, 1
     sigma, z = _phase_and_argument(kind, L, N, k)
-    if N in (0, 1):
-        return coeff_rational_reduced(L, N, k, z, sigma, precision)
     return coeff_rational_general(L, N, k, z, sigma, precision)
 
 

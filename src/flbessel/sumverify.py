@@ -96,7 +96,7 @@ class VerifyReport:
 
 @lru_cache(maxsize=None)
 def _f12(N: int, L: int, k: Fraction, precision: int) -> Fraction:
-    """a_L / 2^L for J_N(kx), N in {0, 1}: the reduced 1F2 coefficient route.
+    """a_L / 2^L for J_N(kx), N in {0, 1}, from the coefficients of ``series``.
 
     ``__wrapped__`` bypasses the coefficient cache of ``series``, which would
     hold every a_L a second time next to this one.  Every identity of a sweep

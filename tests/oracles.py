@@ -11,7 +11,9 @@ bracket displays instead of its Pochhammer one, a ``Decimal`` division
 instead of one integer ``divmod``, trial division of the rounded reciprocal
 instead of Legendre's formula on the exact one, chains of reduced
 ``Fraction`` products for each first term and prefactor instead of one
-integer pair normalized once.  None of them is on a runtime path.
+integer pair normalized once, the hand-reduced 1F2 of orders 0 and 1
+instead of the regularized 2F3 whose equal parameters the term generator
+drops.  None of them is on a runtime path.
 """
 
 from __future__ import annotations
@@ -36,13 +38,7 @@ from flbessel.mpnum import (
     pochhammer,
 )
 from flbessel.powerprime import PowerSeries
-from flbessel.series import (
-    _ALLEN,
-    FLSeries,
-    _phase_and_argument,
-    _scaled,
-    reduced_parameters,
-)
+from flbessel.series import _ALLEN, FLSeries, _phase_and_argument, _scaled
 from flbessel.sumverify import SumSpec, partial_sums_rational, term_rational
 
 
@@ -124,22 +120,46 @@ def fraction_regularized_sum(
 def fraction_coeff_rational(
     kind: str, L: int, N: int, k: Fraction, precision: int
 ) -> tuple[int, int]:
-    """``series._coeff_rational`` with each prefactor a chain of reduced
-    ``Fraction`` products, sqrt(pi)/Gamma(L+3/2) through
-    :func:`gamma_half_exact`, and the regularized sum's first term from
-    :func:`fraction_regularized_sum`."""
+    """``series._coeff_rational`` with the prefactor a chain of reduced
+    ``Fraction`` products and the regularized sum's first term from
+    :func:`fraction_regularized_sum`, for every N."""
     if (L + N) % 2 == 1:
         return 0, 1
     sigma, z = _phase_and_argument(kind, L, N, k)
     pref = Fraction(2 * (2 * L + 1), 2 ** (2 * L + 2)) * Fraction(k) ** L * sigma
-    if N in (0, 1):
-        pref = pref * math.comb(L, (L - N) // 2) / gamma_half_exact(L + 1)
-        return _scaled(pref, plain_sum_rational(*reduced_parameters(L, N), z, precision))
     upper = (Fraction(L + 1, 2), Fraction(L + 2, 2))
     lower = (Fraction(2 * L + 3, 2), Fraction((L - N) // 2 + 1),
              Fraction((L + N) // 2 + 1))
     q, _ = fraction_regularized_sum(upper, lower, z, precision)
     return _scaled(pref * math.factorial(L), q)
+
+
+def reduced_parameters(
+    L: int, N: int
+) -> tuple[tuple[Fraction], tuple[Fraction, Fraction]]:
+    """Upper and lower parameters of the reduced 1F2, for N in {0, 1}:
+
+    1F2((L+N+1)/2; (L+N+2)/2, L+3/2; z).
+    """
+    return (Fraction(L + N + 1, 2),), (Fraction(L + N + 2, 2), Fraction(2 * L + 3, 2))
+
+
+def coeff_rational_reduced(
+    L: int, N: int, k: Fraction, z: Fraction, sigma: int, precision: int
+) -> tuple[int, int]:
+    """The reduced-order 1F2 route for N in {0, 1}, as an unreduced pair.
+
+    The parameter collision of those orders leaves a plain 1F2, and
+    sqrt(pi)/Gamma(L+3/2) = 4^(L+1) (L+1)! / (2L+2)! folds into the
+    rational prefactor, its 4^(L+1) cancelling the 2^-(2L+2):
+    2 (2L+1) sigma C(L, (L-N)/2) (L+1)! k^L / (2L+2)!.
+    """
+    pref = Fraction(
+        2 * (2 * L + 1) * sigma * math.comb(L, (L - N) // 2)
+        * math.factorial(L + 1) * k.numerator**L,
+        k.denominator**L * math.factorial(2 * L + 2),
+    )
+    return _scaled(pref, plain_sum_rational(*reduced_parameters(L, N), z, precision))
 
 
 def fraction_maclaurin_series(

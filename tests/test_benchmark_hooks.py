@@ -10,12 +10,13 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from flbessel import cli, powerprime, series, sumverify
+from flbessel import cli, hypergeom, powerprime, series, sumverify
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -94,3 +95,26 @@ def test_verify_hooks_stay_on_its_path(monkeypatch, capsys):
                      "--tol", "1"]) == 0
     capsys.readouterr()
     assert calls == {"_brackets": 4, "pochhammer": 12, "_f12": 4}
+
+
+def test_coefficient_hooks_stay_on_their_path(monkeypatch, capsys):
+    # the tracer rebinds every flbessel module's reference to a hooked
+    # function, so the wrappers go wherever the tracer's would; each
+    # coefficient comes through ``coeff_a`` and one regularized sum, which
+    # sums through ``plain_sum_rational`` unless a head vanishes (J3 at
+    # L = 1 only)
+    calls = Counter()
+    for owner, attr in ((hypergeom, "plain_sum_rational"),
+                        (hypergeom, "regularized_sum_rational"), (series, "coeff_a")):
+        original = getattr(owner, attr)
+        wrapper = _counting(calls, attr, original)
+        for name, module in list(sys.modules.items()):
+            if name == "flbessel" or name.startswith("flbessel."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, wrapper)
+    series._coeff_rational.cache_clear()
+    assert cli.main(["coeffs", "J", "0", "1", "--lmax", "4"]) == 0
+    assert cli.main(["coeffs", "J", "3", "7/3", "--lmax", "5"]) == 0
+    capsys.readouterr()
+    assert calls == {"coeff_a": 6, "regularized_sum_rational": 6, "plain_sum_rational": 5}

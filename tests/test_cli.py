@@ -534,13 +534,26 @@ def test_guard_digits_are_read_where_each_sum_starts(monkeypatch, capsys):
     assert listed[0] == 0
 
 
-def test_computational_error_exit_3(capsys):
-    # a scale within the up-front bound (440 at 2 digits) whose series still
-    # cannot meet its termination rule in the cap
-    code, _, err = run(capsys, "--digits", "2", "coeffs", "J", "0", "400",
-                       "--lmax", "0")
+def test_computational_error_exit_3(monkeypatch, capsys):
+    # a sum that cannot meet its termination rule in its cap: with term_cap
+    # 0 the cap is the 3 terms z = -1/4 adds; the coefficient cache is
+    # emptied around the patched run
+    from flbessel import hypergeom
+
+    monkeypatch.setattr(hypergeom, "term_cap", lambda precision: 0)
+    series._coeff_rational.cache_clear()
+    try:
+        code, _, err = run(capsys, "--digits", "2", "coeffs", "J", "0", "1",
+                           "--lmax", "0")
+    finally:
+        monkeypatch.undo()
+        series._coeff_rational.cache_clear()
     assert code == 3
-    assert "computation failed" in err
+    assert err == "computation failed: no convergence within 3 terms\n"
+    # a table whose threshold no 400 entries reach
+    code, _, err = run(capsys, "coeffs", "J", "0", "1", "--threshold", "1e-5000")
+    assert code == 3
+    assert err == "computation failed: more than 400 entries\n"
 
 
 def test_package_exports_resolve():

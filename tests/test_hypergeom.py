@@ -119,6 +119,43 @@ def test_terms_match_direct_products():
             assert terms[n - start] == term_direct(upper, lower, z, n)
 
 
+# -- equal upper and lower parameters -------------------------------------------
+
+#: (upper, lower, the parameters left once equal pairs are dropped); an int
+#: and a Fraction of the same value are one parameter.
+EQUAL_PAIRS = [
+    ((F(5, 2), F(1, 3)), (F(7), F(5, 2)), ((F(1, 3),), (F(7),))),
+    ((F(4),), (F(-1, 2), 4), ((), (F(-1, 2),))),
+    # the N = 0 shape: two equal lower parameters, one matching upper
+    ((F(5, 2), F(3)), (F(11, 2), 3, 3), ((F(5, 2),), (F(11, 2), 3))),
+    # two matching uppers take one lower each, and a third finds none
+    ((F(3, 2), F(3, 2)), (F(3, 2), F(3, 2), F(2)), ((), (F(2),))),
+    ((F(3, 2),) * 3, (F(3, 2), F(3, 2), F(2)), ((F(3, 2),), (F(2),))),
+]
+
+
+@pytest.mark.parametrize("upper, lower, rest", EQUAL_PAIRS)
+def test_an_equal_parameter_pair_is_dropped(upper, lower, rest):
+    # the series yields exactly the pairs of the series without both
+    for z in (F(-49, 9), F(5, 4)):
+        for first, start in ((F(1), 0), (F(-3, 5), 4)):
+            got = itertools.islice(plain_terms(upper, lower, z, first, start), 40)
+            want = itertools.islice(plain_terms(*rest, z, first, start), 40)
+            assert list(got) == list(want)
+    # the value and the number of items read (what the benchmark's term
+    # counter sees) are those of the reference that keeps the pair
+    new, ref = kernel_and_reference(upper, lower, F(-49, 9), F(1), 0, 66, 10**4)
+    assert new == ref
+
+
+def test_an_equal_pole_is_still_refused():
+    # the pole check reads the lower parameters before any pair is dropped
+    with pytest.raises(LowerParamPole):
+        plain_sum_rational((F(-2), F(1, 2)), (F(-2), F(3, 2)), F(-1, 4), 20)
+    with pytest.raises(LowerParamPole):
+        plain_sum_rational((F(0),), (0,), F(-1, 4), 20)
+
+
 def test_sum_terms_stopping_rule_and_cap():
     # each case gives the first term and then the term ratios as integer
     # pairs; ``tiny`` is the pair of the term 10^-30
@@ -159,12 +196,27 @@ def test_lower_pole_rejected():
         plain([F(1, 2)], [-3, F(3, 2)], F(-1, 4), 20)
 
 
-def test_term_cap_exceeded():
-    # |z| so large the terms are still climbing when the cap hits
-    with pytest.raises(TermCapExceeded):
-        plain_sum_rational((F(1, 2),), (F(1), F(3, 2)), F(-9 * 10**6), 1)
-    with pytest.raises(TermCapExceeded):
-        regularized_sum_rational((F(1, 2), F(1)), (F(3, 2), F(0), F(2)), F(-9 * 10**6), 1)
+def test_term_cap_exceeded(monkeypatch):
+    # with term_cap 0 the caps are the 3 (isqrt(floor |z|) + 1) = 3 terms
+    # that z = -1/4 adds (one more past the regularized head), too few
+    # for 17 digits
+    monkeypatch.setattr(hypergeom, "term_cap", lambda precision: 0)
+    with pytest.raises(TermCapExceeded, match="within 3 terms"):
+        plain_sum_rational((F(1, 2),), (F(1), F(3, 2)), F(-1, 4), 1)
+    with pytest.raises(TermCapExceeded, match="within 4 terms"):
+        regularized_sum_rational((F(1, 2), F(1)), (F(3, 2), F(0), F(2)), F(-1, 4), 1)
+
+
+def test_the_cap_grows_with_z(monkeypatch):
+    # at z = -9 * 10^6 the terms climb until n is about 3000, past the
+    # 210-term cap of one digit; the sum converges within the cap's
+    # 3 (isqrt(|z|) + 1) = 9003 extra terms
+    seen = []
+    terms = hypergeom.plain_terms
+    monkeypatch.setattr(hypergeom, "plain_terms",
+                        lambda *args: counted(terms(*args), seen))
+    plain_sum_rational((F(1, 2),), (F(1), F(3, 2)), F(-9 * 10**6), 1)
+    assert term_cap(1) < len(seen) <= term_cap(1) + 9003
 
 
 # -- regularized ---------------------------------------------------------------

@@ -20,7 +20,6 @@ from flbessel.series import (
     coeff_a,
     coeff_a_modified,
     coeff_rational_general,
-    coeff_rational_reduced,
     eval_allen,
     eval_series,
     maclaurin_ref,
@@ -30,6 +29,7 @@ from flbessel.series import FLSeries
 from oracles import (
     as_fraction,
     coeff_oracle,
+    coeff_rational_reduced,
     fraction_coeff_rational,
     fraction_eval_allen,
     fraction_eval_series,
@@ -57,6 +57,28 @@ def test_high_order_coefficient_earns_every_digit():
     )
 
 
+@pytest.mark.parametrize("L, N, k", [(0, 0, 600), (20, 0, 600), (4, 0, 1400),
+                                     (9, 5, 1400)])
+def test_large_scale_coefficients_match_mpmath(L, N, k):
+    # the terms at z = -k^2/4 peak near n = k/2, so these sums need more
+    # than the 700 terms of a cap blind to k; mpmath's hyper at 700 digits
+    # has hundreds of digits left after the series' cancellation
+    mpmath = pytest.importorskip("mpmath")
+    got = coeff_a(L, N, k, 50).to_fraction()
+    with mpmath.workdps(700):
+        half = mpmath.mpf(1) / 2
+        h = mpmath.hyper([half * (L + 1), half * (L + 2)],
+                         [half * (2 * L + 3), (L - N) // 2 + 1, (L + N) // 2 + 1],
+                         -mpmath.mpf(k) ** 2 / 4)
+        sigma = -1 if ((L - N) // 2) % 2 else 1
+        want = (mpmath.sqrt(mpmath.pi) * 2 * (2 * L + 1) * sigma * mpmath.mpf(k) ** L
+                * mpmath.factorial(L) * h / mpmath.mpf(2) ** (2 * L + 2)
+                / (mpmath.gamma(half * (2 * L + 3)) * mpmath.factorial((L - N) // 2)
+                   * mpmath.factorial((L + N) // 2)))
+        err = abs(mpmath.mpf(got.numerator) / got.denominator - want)
+        assert err <= abs(want) * mpmath.mpf(10) ** -49
+
+
 @pytest.mark.parametrize("N", [2, 5, 12])
 @pytest.mark.parametrize("kind", ["J", "I"])
 def test_coefficients_sum_to_the_value_at_one(kind, N):
@@ -76,13 +98,19 @@ def test_parity_gate_gives_exact_zero():
 
 
 def test_reduced_and_general_routes_agree():
-    for kind in ("J", "I"):
-        for L, N in ((0, 0), (4, 0), (7, 1), (12, 0), (13, 1)):
-            for k in (F(1), F(1, 2), F(2)):
-                sigma, z = _phase_and_argument(kind, L, N, k)
-                r = as_fraction(coeff_rational_reduced(L, N, k, z, sigma, 50))
-                g = as_fraction(coeff_rational_general(L, N, k, z, sigma, 50))
-                assert abs(r - g) <= abs(r) * F(1, 10**40)
+    # at N in {0, 1} the term generator drops the general route's equal
+    # parameter pair, leaving the hand-reduced 1F2's ratios; the sums stop
+    # at the same index and the prefactors agree, so the values are equal
+    grid = [(50, k, range(81)) for k in (F(1), F(7, 3), F(1, 10), F(-3, 2), F(9, 2))]
+    grid += [(2000, k, (0, 1, 41, 146)) for k in (F(1), F(3, 4))]
+    for precision, k, degrees in grid:
+        for kind in ("J", "I"):
+            for N in (0, 1):
+                for L in (L for L in degrees if (L + N) % 2 == 0):
+                    sigma, z = _phase_and_argument(kind, L, N, k)
+                    r = coeff_rational_reduced(L, N, k, z, sigma, precision)
+                    g = coeff_rational_general(L, N, k, z, sigma, precision)
+                    assert as_fraction(r) == as_fraction(g), (kind, N, k, L)
 
 
 def test_modified_is_argument_flip_of_plain():

@@ -15,7 +15,7 @@ from flbessel.hypergeom import plain_sum_rational
 from flbessel.legendre import monomials
 from flbessel.mpnum import BigReal
 from flbessel.powerprime import to_power_series
-from flbessel.series import _coeff_rational, reduced_parameters
+from flbessel.series import _coeff_rational
 from flbessel.sumverify import (
     SumSpec,
     _brackets,
@@ -34,6 +34,7 @@ from oracles import (
     display_value,
     fraction_partial_sums,
     gamma_factors_cancel_at_m0,
+    reduced_parameters,
     summed_series_lhs,
     term_ratio,
 )
