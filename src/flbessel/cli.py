@@ -211,7 +211,7 @@ def cmd_power(args: argparse.Namespace) -> int:
             else:
                 lines.append(
                     f"x^{e.power:<3d} not near an integer "
-                    f"(nearest {e.nearest}, gap {e.gap})"
+                    f"(nearest {emit_mod.int_text(e.nearest)}, gap {e.gap})"
                 )
     _write(args, "\n".join(lines))
     return 0

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -287,7 +288,7 @@ def emit_json(obj) -> str:
     elif isinstance(obj, FactorReport):
         entries = []
         for e in obj.entries:
-            item: dict = {"power": e.power, "nearest": e.nearest,
+            item: dict = {"power": e.power, "nearest": _NEAREST,
                           "gap": str(e.gap), "gap_precision": e.gap.precision}
             if e.factors is None:
                 item["status"] = "not_near_integer"
@@ -302,6 +303,9 @@ def emit_json(obj) -> str:
             "type": "factor_report",
             "entries": entries,
         }
+        head, *rest = json_line(payload).split(json.dumps(_NEAREST))
+        return head + "".join(
+            int_text(e.nearest) + part for e, part in zip(obj.entries, rest))
     elif isinstance(obj, VerifyReport):
         payload = {
             "schema": SCHEMA_VERSION,
@@ -334,6 +338,22 @@ def emit_json(obj) -> str:
     return json_line(payload)
 
 
+#: Stands in for each ``nearest`` while ``json.dumps`` runs, since that
+#: refuses an int of more than 4300 digits; the digits replace it after.
+_NEAREST = "\0nearest"
+
+
+def int_text(n: int) -> str:
+    """The decimal digits of ``n``, of any length: ``str`` refuses an int
+    of more than 4300 digits, ``Decimal`` converts one exactly."""
+    return str(Decimal(n))
+
+
+def _parse_int(text: str) -> int:
+    """A JSON integer of any length, read back exactly."""
+    return int(Decimal(text))
+
+
 def json_line(payload: dict) -> str:
     """The compact, byte-stable one-line JSON form of every emitted object."""
     return json.dumps(payload, separators=(",", ":"))
@@ -347,7 +367,7 @@ def _prime_powers_from(payload: dict) -> PrimePowers:
 
 def parse_json(text: str):
     """Inverse of :func:`emit_json`."""
-    payload = json.loads(text)
+    payload = json.loads(text, parse_int=_parse_int)
     if payload.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {payload.get('schema')!r}")
     kind = payload["type"]

@@ -16,8 +16,11 @@ of the Bessel functions -- is generated by :func:`plain_terms` and summed by
 :func:`sum_terms`.  The generator yields integer pairs: the first term, then
 the ratio t_{n+1}/t_n as an unreduced integer numerator and a positive
 integer denominator built from the parameters' numerators and denominators.
-An upper parameter equal to a lower one is dropped with it, so a 2F3 with
-such a pair sums as the 1F2 it reduces to.
+The factors every ratio shares (z and the parameters' denominators) are
+divided by their gcd once, before the first ratio, and no other gcd is
+taken; each factor a + n d is an arithmetic progression, so the ratios
+stream from C-level iterators.  An upper parameter equal to a lower one is
+dropped with it, so a 2F3 with such a pair sums as the 1F2 it reduces to.
 The sum keeps term n as P/Q and the partial sum as T/Q, with no gcd along
 the way, and returns the pair (T, Q) as it stands: rounding it needs only
 the quotient (``BigReal.from_fraction`` divides T by Q once), never lowest
@@ -54,7 +57,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, count, islice, repeat
+from operator import mul
 from typing import Iterable
 
 from . import mpnum
@@ -94,10 +98,15 @@ def plain_terms(
     The first pair is ``first`` itself, the value of term ``start`` (the
     default starts the plain series at t_0 = 1), already in lowest terms.
     Every later pair is the ratio t_{n+1}/t_n, built from the numerators
-    and denominators of the parameters and of z without any gcd, so the
-    running product of the pairs is the term.  An upper parameter equal to
-    a lower one puts a factor 1 in every ratio, so the two are dropped, one
-    for one.
+    and denominators of the parameters and of z, so the running product of
+    the pairs is the term.  The two constant factors, z's numerator times
+    the lower denominators and z's denominator times the upper ones, are
+    divided by their gcd once; no other gcd is taken.  An upper parameter
+    equal to a lower one puts a factor 1 in every ratio, so the two are
+    dropped, one for one.  The factors a + n d, n = start, start + 1, ...,
+    are ``itertools.count`` progressions multiplied together by ``map``,
+    and a pair's signs are flipped to make q > 0 only where a lower factor
+    can be negative.
     """
     ups = [(a.numerator, a.denominator) for a in upper]
     lows = [(b.numerator, b.denominator) for b in lower]
@@ -111,17 +120,25 @@ def plain_terms(
         p_const *= d
     for _, d in ups:
         q_const *= d
+    g = math.gcd(p_const, q_const)
+    p_const, q_const = p_const // g, q_const // g
     yield first.numerator, first.denominator
-    n = start
-    while True:
-        p = p_const
-        for a, d in ups:
-            p *= a + n * d
-        q = q_const * (n + 1)
-        for b, d in lows:
-            q *= b + n * d
-        yield (-p, -q) if q < 0 else (p, q)
-        n += 1
+    # every factor a + n d is an arithmetic progression in n, and so are
+    # the constants times the first factor of each side
+    if ups:
+        (a, d), *rest = ups
+        ps = count(p_const * (a + start * d), p_const * d)
+    else:
+        ps, rest = repeat(p_const), ()
+    for a, d in rest:
+        ps = map(mul, ps, count(a + start * d, d))
+    qs = count(q_const * (start + 1), q_const)
+    for b, d in lows:
+        qs = map(mul, qs, count(b + start * d, d))
+    if any(b + start * d < 0 for b, d in lows):
+        yield from ((-p, -q) if q < 0 else (p, q) for p, q in zip(ps, qs))
+    else:
+        yield from zip(ps, qs)
 
 
 def sum_terms(
@@ -180,7 +197,11 @@ _LEAF = 32
 def _loop(pairs, state, scale: int, scale_bits: int, cap: int):
     """The plain loop over ``pairs`` from ``state`` = (n, P, Q, T, small
     run), one pair at a time, until the pairs run out or two small terms
-    in a row end the sum (small run 2); returns the new state."""
+    in a row end the sum (small run 2); returns the new state.
+
+    Each term is tested as :func:`_is_small` tests it, inline and on bit
+    lengths, which ignore the sign, so no copy of |T| is made; only a
+    near tie is compared exactly."""
     n, P, Q, T, small_run = state
     for p, q in pairs:
         n += 1
@@ -189,9 +210,13 @@ def _loop(pairs, state, scale: int, scale_bits: int, cap: int):
         P *= p
         Q *= q
         T = T * q + P
-        small_run = small_run + 1 if _is_small(P, T, scale, scale_bits) else 0
-        if small_run == 2:
-            break
+        gap = P.bit_length() + scale_bits - T.bit_length()
+        if P and (gap > 1 or gap >= 0 and scale * abs(P) >= abs(T)):
+            small_run = 0
+        else:
+            small_run += 1
+            if small_run == 2:
+                break
     return n, P, Q, T, small_run
 
 

@@ -37,6 +37,47 @@ _LOG10_2 = math.log10(2)
 #: rounds the result in the caller's context.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
+#: Guard digits of the short quotient of ``BigReal.from_fraction``, below
+#: the mantissa and its possible extra digit.
+_SHORT_GUARD_DIGITS = 23
+
+#: Bits the short quotient keeps beyond those the quotient has, which
+#: makes its error at most 2.
+_KEEP_EXTRA_BITS = 64
+
+#: The short quotient is taken only when it drops more than this many
+#: bits of each operand: below that, one exact ``divmod`` costs no more
+#: (on random pairs at 50, 300 and 2000 digits the two cross between 1024
+#: and 2048 dropped bits).
+_SHORT_BITS = 2048
+
+
+def _short_mantissa(n: int, d: int, cut: int, keep: int, s: int, precision: int):
+    """(mantissa rounded half-even, s) for n * 10^s / d, n, d > 0 and
+    s >= 0, from n and d shifted right by ``cut`` bits, which leaves the
+    shorter ``keep`` bits; None when that cannot settle the rounding.
+
+    Each shifted operand is within a relative 2^(1 - keep) of the exact
+    one, so m = floor(n' 10^t / d'), t = s + _SHORT_GUARD_DIGITS, is within
+    (m + 1) 2^(2 - keep) + 1 < (m >> (keep - 3)) + 2 of x = n 10^t / d.
+    The mantissa floor(x / 10^_SHORT_GUARD_DIGITS), its extra digit and the
+    rounding change only at multiples of 5 * 10^(_SHORT_GUARD_DIGITS - 1); if
+    none lies within that bound of m, x is none of them and lies between
+    the same two as m, so m gives all three exactly.
+    """
+    m = (n >> cut) * 10**(s + _SHORT_GUARD_DIGITS) // (d >> cut)
+    err = (m >> (keep - 3)) + 2
+    half = 5 * 10**(_SHORT_GUARD_DIGITS - 1)
+    low = m % half
+    if low <= err or half - low <= err:
+        return None
+    mantissa, rest = divmod(m, 2 * half)
+    if mantissa >= 10**precision:
+        half *= 10
+        mantissa, rest = divmod(m, 2 * half)
+        s -= 1
+    return mantissa + (rest > half), s
+
 
 def _round_sig(value: Decimal, digits: int) -> Decimal:
     """Round ``value`` to ``digits`` significant digits, half-even."""
@@ -111,13 +152,24 @@ class BigReal:
         n/d in any terms: the rounding needs the quotient, not lowest
         terms, so an unreduced sum is rounded as it stands.
 
-        One ``divmod`` of n * 10^s by d gives the mantissa and an exact
-        remainder.  s comes from the bit lengths of n and d, so that the
-        mantissa has ``precision`` or ``precision + 1`` digits; an extra
-        digit is split off into the remainder exactly.  The remainder then
-        decides the half-even rounding and any tie.  The mantissa becomes a
-        ``Decimal`` directly, never through ``str``, which refuses integers
-        of more than 4300 digits.
+        The mantissa is floor(|n| * 10^s / d).  s comes from the bit
+        lengths of n and d, so that the mantissa has ``precision`` or
+        ``precision + 1`` digits; an extra digit is split off, and the rest
+        of the quotient decides the half-even rounding and any tie.
+
+        Only the leading bits of a divisor fix a quotient.  So when s >= 0
+        and both operands are more than ``_SHORT_BITS`` bits longer than
+        the short quotient keeps (an unreduced sum's denominator is about
+        twice as long as the mantissa), :func:`_short_mantissa` divides
+        their leading bits only, to ``_SHORT_GUARD_DIGITS`` digits below the
+        mantissa with an error of at most 2 units.  The rounding and the
+        extra digit change only at multiples of 5 * 10^(_SHORT_GUARD_DIGITS - 1)
+        of that quotient, so one farther than the error bound from all of
+        them gives the mantissa and its rounding exactly, and no tie is
+        possible.  Otherwise, and always for s < 0, one exact ``divmod``
+        gives the mantissa and a remainder that decides the rounding and
+        any tie.  The mantissa becomes a ``Decimal`` directly, never
+        through ``str``, which refuses integers of more than 4300 digits.
         """
         num, d = q if isinstance(q, tuple) else (q.numerator, q.denominator)
         if num == 0:
@@ -128,22 +180,33 @@ class BigReal:
         # exact one for |gap| < 2^33, and no integer of 2^33 bits fits in
         # memory, so j is the exact floor or, within 10^-6 of an integer,
         # one less; that costs one more digit to split off.
-        gap = n.bit_length() - d.bit_length()
+        nb, db = n.bit_length(), d.bit_length()
+        gap = nb - db
         j = math.floor((gap - 1) * _LOG10_2 - 1e-6)
         s = precision - 1 - j
-        if s >= 0:
-            mantissa, r = divmod(n * 10**s, d)
+        # bits of the shorter operand the short quotient keeps: those of
+        # 10^(precision + _SHORT_GUARD_DIGITS + 1) and _KEEP_EXTRA_BITS more
+        keep = ((precision + _SHORT_GUARD_DIGITS + 1) * 3322 // 1000
+                + _KEEP_EXTRA_BITS)
+        cut = (db if db < nb else nb) - keep
+        short = (s >= 0 and cut > _SHORT_BITS
+                 and _short_mantissa(n, d, cut, keep, s, precision))
+        if short:
+            mantissa, s = short
         else:
-            d *= 10**-s
-            mantissa, r = divmod(n, d)
-        top = 10**precision
-        while mantissa >= top:
-            mantissa, digit = divmod(mantissa, 10)
-            r += digit * d
-            d *= 10
-            s -= 1
-        if 2 * r > d or (2 * r == d and mantissa & 1):
-            mantissa += 1
+            if s >= 0:
+                mantissa, r = divmod(n * 10**s, d)
+            else:
+                d *= 10**-s
+                mantissa, r = divmod(n, d)
+            top = 10**precision
+            while mantissa >= top:
+                mantissa, digit = divmod(mantissa, 10)
+                r += digit * d
+                d *= 10
+                s -= 1
+            if 2 * r > d or (2 * r == d and mantissa & 1):
+                mantissa += 1
         if num < 0:
             mantissa = -mantissa
         return cls(Decimal(mantissa).scaleb(-s, _EXACT), precision)

@@ -8,12 +8,13 @@ formula instead of the rising product, reduced ``Fraction`` terms,
 Legendre values and fit polynomials instead of unreduced integers, joined
 ``str`` digits instead of a translated byte string, the paper's other two
 bracket displays instead of its Pochhammer one, a ``Decimal`` division
-instead of one integer ``divmod``, trial division of the rounded reciprocal
-instead of Legendre's formula on the exact one, chains of reduced
-``Fraction`` products for each first term and prefactor instead of one
-integer pair normalized once, the hand-reduced 1F2 of orders 0 and 1
-instead of the regularized 2F3 whose equal parameters the term generator
-drops.  None of them is on a runtime path.
+instead of one integer ``divmod``, one exact ``divmod`` of the whole
+operands instead of a short quotient of their leading bits, trial division
+of the rounded reciprocal instead of Legendre's formula on the exact one,
+chains of reduced ``Fraction`` products for each first term and prefactor
+instead of one integer pair normalized once, the hand-reduced 1F2 of orders
+0 and 1 instead of the regularized 2F3 whose equal parameters the term
+generator drops.  None of them is on a runtime path.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from flbessel.hypergeom import (
     term_cap,
 )
 from flbessel.mpnum import (
+    _EXACT,
     DEFAULT_GUARD_DIGITS,
     BigReal,
     PrimePowers,
@@ -232,6 +234,39 @@ def fraction_sum_terms(terms, digits: int, cap: int) -> Fraction:
             if small_run == 2:
                 return total
     return total
+
+
+def divmod_from_fraction(q: Fraction | tuple[int, int], precision: int) -> BigReal:
+    """``q`` rounded half-even to ``precision`` digits through one exact
+    ``divmod`` of the whole operands, the route that the short quotient of
+    their leading bits in ``BigReal.from_fraction`` replaced for long ones.
+
+    ``q`` is a ``Fraction`` or an unreduced pair (n, d), d > 0.  The
+    mantissa floor(|n| 10^s / d) has ``precision`` or ``precision + 1``
+    digits; an extra digit moves into the remainder, which then decides
+    the rounding and any tie.
+    """
+    num, d = q if isinstance(q, tuple) else (q.numerator, q.denominator)
+    if num == 0:
+        return BigReal(Decimal(0), precision)
+    n = abs(num)
+    j = math.floor((n.bit_length() - d.bit_length() - 1) * math.log10(2) - 1e-6)
+    s = precision - 1 - j
+    if s >= 0:
+        mantissa, r = divmod(n * 10**s, d)
+    else:
+        d *= 10**-s
+        mantissa, r = divmod(n, d)
+    while mantissa >= 10**precision:
+        mantissa, digit = divmod(mantissa, 10)
+        r += digit * d
+        d *= 10
+        s -= 1
+    if 2 * r > d or (2 * r == d and mantissa & 1):
+        mantissa += 1
+    if num < 0:
+        mantissa = -mantissa
+    return BigReal(Decimal(mantissa).scaleb(-s, _EXACT), precision)
 
 
 def decimal_from_fraction(q: Fraction, precision: int) -> BigReal:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flbessel import series, sumverify
+from flbessel import emit, series, sumverify
 from flbessel.cli import MAX_DIGITS, MAX_GRID, MAX_ORDER, build_parser, main
 from flbessel.mpnum import BigReal
 from oracles import as_fraction
@@ -507,6 +507,30 @@ def test_factorize_past_x170_reports_the_entry_uncertified(capsys, fmt):
     else:
         entry = json.loads(out.splitlines()[-1])["entries"][-1]
         assert entry["power"] == 172 and entry["status"] == "not_near_integer"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_nearest_integer_past_4300_digits_is_printed_and_round_trips(capsys, fmt):
+    # c_0 of J_900(x/1000) is about 1.9e-5244: its reciprocal's nearest
+    # integer has 5244 digits, more than str() and json.dumps convert
+    code, out, err = run(capsys, "--format", fmt, "power", "J", "900", "1/1000",
+                         "--max-power", "0", "--factorize")
+    assert code == 0 and err == ""
+    if fmt == "text":
+        coeff = Fraction(Decimal(out.splitlines()[0].split()[1]))
+        found = re.fullmatch(r"x\^0   not near an integer \(nearest (\d+), gap \S+\)",
+                             out.splitlines()[-1])
+        nearest = int(Decimal(found.group(1)))
+    else:
+        series_line, report_line = out.splitlines()
+        coeff = emit.parse_json(series_line).coeffs[0][1].to_fraction()
+        report = emit.parse_json(report_line)
+        assert emit.emit_json(report) == report_line
+        (entry,) = report.entries
+        assert entry.power == 0 and entry.factors is None
+        nearest = entry.nearest
+    assert nearest == round(1 / coeff)
+    assert len(emit.int_text(nearest)) == 5244
 
 
 def test_guard_digits_are_read_where_each_sum_starts(monkeypatch, capsys):

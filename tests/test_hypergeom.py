@@ -391,6 +391,38 @@ def test_ratio_pairs_have_positive_denominators(num, den):
         assert q > 0
 
 
+#: (upper, lower, z, first term, start) for the streamed ratio pairs.
+STREAM_CASES = {
+    "mid-series start": ((F(1, 2), F(7, 3)), (F(3, 2), F(4), F(5, 2)), F(-49, 9),
+                         F(-3, 5), 7),
+    # -17/2 + n changes sign at n = 9: the pairs' signs are flipped there
+    "lower factor crosses zero": ((F(7, 3),), (F(-17, 2), F(-1, 3)), F(40), F(1), 2),
+    "equal pair drops out": ((F(5, 2), F(1, 3)), (F(7), F(5, 2)), F(-9, 4), F(1), 0),
+    "int lower parameter": ((F(147, 2), F(148, 2)), (F(295, 2), 72, 74), F(-1, 4),
+                            F(2, 7), 3),
+    "z = 0": ((F(1, 2),), (F(1), F(3, 2)), F(0), F(1), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_the_pair_stream_gives_the_fraction_terms(name):
+    upper, lower, z, first, start = STREAM_CASES[name]
+    pairs = list(itertools.islice(plain_terms(upper, lower, z, first, start), 40))
+    assert all(q > 0 for _, q in pairs)
+    want = itertools.islice(fraction_terms(upper, lower, z, first, start), 40)
+    assert running_products(iter(pairs), 40) == list(want)
+
+
+def test_the_constant_factors_are_divided_by_their_gcd_once():
+    # the J0 table's 1F2: p_const = -1 * 2 and q_const = 4 * 2 share 2
+    pairs = itertools.islice(plain_terms((F(147, 2),), (F(74), F(295, 2)), F(-1, 4)), 30)
+    assert list(pairs)[1:] == [(-(147 + 2 * n), 4 * (n + 1) * (74 + n) * (295 + 2 * n))
+                               for n in range(29)]
+    # z = 0: the gcd with 0 is q_const itself, which leaves q_const = 1
+    pairs = itertools.islice(plain_terms((F(1, 2),), (F(1), F(3, 2)), F(0)), 5)
+    assert list(pairs)[1:] == [(0, (n + 1) * (n + 1) * (3 + 2 * n)) for n in range(4)]
+
+
 def test_integer_kernel_edge_cases():
     cases = [
         # z = 0: the first term and two zero terms

@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flbessel import mpnum, series
 from flbessel.mpnum import BigReal, PrimePowers, pochhammer, render_significant
 from flbessel.powerprime import PRIMES
 from oracles import (
     FACTOR_PRIMES,
     NotNearInteger,
     decimal_from_fraction,
+    divmod_from_fraction,
     factorize_reciprocal,
     gamma_half_exact,
     join_render_significant,
@@ -211,6 +213,119 @@ def test_from_fraction_at_2000_digits_equals_the_decimal_division():
     for q in cases:
         got, want = BigReal.from_fraction(q, 2000), decimal_from_fraction(q, 2000)
         assert got.value == want.value and str(got) == str(want)
+
+
+# -- the short quotient of long operands -----------------------------------------
+
+
+def short_cutoff(precision: int) -> int:
+    """Bits above which the shorter operand lets ``from_fraction`` try the
+    short quotient: ``_SHORT_BITS`` more than the quotient keeps."""
+    keep = ((precision + mpnum._SHORT_GUARD_DIGITS + 1) * 3322 // 1000
+            + mpnum._KEEP_EXTRA_BITS)
+    return mpnum._SHORT_BITS + keep
+
+
+def spy_on_short_quotient(monkeypatch) -> list:
+    """(s passed, result) of every ``mpnum._short_mantissa`` call; the
+    result is a (mantissa, s) pair, or None where the exact ``divmod`` had
+    to decide."""
+    calls = []
+    short = mpnum._short_mantissa
+
+    def spy(n, d, cut, keep, s, precision):
+        calls.append((s, short(n, d, cut, keep, s, precision)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(mpnum, "_short_mantissa", spy)
+    return calls
+
+
+def same_rounding(got: BigReal, want: BigReal) -> bool:
+    return got.value == want.value and str(got) == str(want)
+
+
+@st.composite
+def long_pairs(draw, precision: int) -> tuple[int, int]:
+    """(n, d) of either sign, the shorter from half to four times the
+    short cutoff, and a quotient from far below 1 to past 10^precision,
+    where s < 0."""
+    bits = draw(st.integers(short_cutoff(precision) // 2, 4 * short_cutoff(precision)))
+    gap = draw(st.integers(-4000, 4 * precision + 400))
+    n_bits, d_bits = bits + max(gap, 0), bits + max(-gap, 0)
+    n = draw(st.integers(1 << (n_bits - 1), (1 << n_bits) - 1))
+    d = draw(st.integers(1 << (d_bits - 1), (1 << d_bits) - 1))
+    return draw(st.sampled_from((-1, 1))) * n, d
+
+
+@given(st.sampled_from((50, 300, 2000)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_short_quotient_rounds_as_the_exact_divmod(precision, data):
+    n, d = data.draw(long_pairs(precision))
+    got = BigReal.from_fraction((n, d), precision)
+    assert same_rounding(got, divmod_from_fraction((n, d), precision))
+
+
+@pytest.mark.parametrize("precision", [50, 300, 2000])
+def test_the_short_quotient_settles_random_long_pairs(precision, monkeypatch):
+    # every random long pair with s >= 0 is settled by the short path, some
+    # with a mantissa of precision + 1 digits, whose extra digit it splits
+    # off (the s it returns is one less than the s it was given)
+    calls = spy_on_short_quotient(monkeypatch)
+    rng = random.Random(precision)
+    bits = 2 * short_cutoff(precision)
+    for _ in range(40):
+        n = rng.getrandbits(bits + rng.randrange(3 * precision)) | 1 << bits
+        d = rng.getrandbits(bits) | 1 << (bits - 1)
+        q = (rng.choice((-1, 1)) * n, d)
+        assert same_rounding(BigReal.from_fraction(q, precision),
+                             divmod_from_fraction(q, precision))
+    assert len(calls) == 40 and all(result for _, result in calls)
+    assert {s - result[1] for s, result in calls} == {0, 1}
+
+
+@pytest.mark.parametrize("precision", [50, 300, 2000])
+def test_ties_and_exact_multiples_take_the_exact_divmod(precision, monkeypatch):
+    # n/d = (2m + 1) 5 10^-(s + 1), a tie in the last place, one unit of n
+    # off it either way, and m 10^-s, a quotient with nothing below the
+    # mantissa, all times a long common factor g
+    calls = spy_on_short_quotient(monkeypatch)
+    rng = random.Random(precision + 1)
+    bits = 2 * short_cutoff(precision)
+    cases = []
+    for mantissa in (rng.randrange(10 ** (precision - 1), 10**precision),
+                     10**precision - 1, 10 ** (precision - 1)):
+        for s in (0, precision, 3 * precision):
+            g = rng.getrandbits(bits) | 1 << (bits - 1)
+            tie = ((2 * mantissa + 1) * 5 * g, 10 ** (s + 1) * g)
+            cases += [tie, (tie[0] - 1, tie[1]), (tie[0] + 1, tie[1]),
+                      (mantissa * g, 10**s * g)]
+    for n, d in cases:
+        for sign in (-1, 1):
+            got = BigReal.from_fraction((sign * n, d), precision)
+            assert same_rounding(got, divmod_from_fraction((sign * n, d), precision))
+            assert same_rounding(got, decimal_from_fraction(Fraction(sign * n, d), precision))
+    # the short quotient ran on each of them and settled none
+    assert len(calls) == 2 * len(cases)
+    assert [result for _, result in calls] == [None] * len(calls)
+
+
+def test_every_long_table_coefficient_takes_the_short_quotient(monkeypatch):
+    # the 2000-digit tables of the paper's J0 and of J3 at k = 7/3, L <= 146:
+    # each coefficient whose shorter operand is above the cutoff is settled
+    # by the short quotient, and every one rounds as the exact divmod does
+    calls = spy_on_short_quotient(monkeypatch)
+    above = 0
+    for kind, N, k in (("J", 0, Fraction(1)), ("J", 3, Fraction(7, 3))):
+        for L in range(N % 2, 147, 2):
+            pair = series._coeff_rational.__wrapped__(kind, L, N, k, 2000)
+            assert 0 < abs(pair[0]) < pair[1]  # below 1, so s > 0
+            bits = min(abs(pair[0]).bit_length(), pair[1].bit_length())
+            above += bits > short_cutoff(2000)
+            assert same_rounding(BigReal.from_fraction(pair, 2000),
+                                 divmod_from_fraction(pair, 2000))
+    assert above > 100 and len(calls) == above
+    assert all(result for _, result in calls)
 
 
 # -- gamma ---------------------------------------------------------------------
