@@ -37,8 +37,9 @@ MAX_DIGITS = 10_000
 #: Largest weight of one ``verify`` command: the sum over its identities of
 #: the square of each one's term count, since a term costs more the higher
 #: its degree L.  The j1 sweep over h 0..43 with +78 terms weighs 442 706
-#: (0.25 s); h 0..24 with 400 terms each weighs 4 000 000 and took 5 s; the
-#: heaviest admitted commands, six 400-term identities, take about 1 s.
+#: (0.17 s as one process, 0.10 s of it in ``verify``); h 0..24 with 400
+#: terms each weighs 4 000 000 and took 5 s; the heaviest admitted commands,
+#: six 400-term identities, take about 0.55 s.
 #: With at least h+1 and at most 400 terms per identity, h stays below 400,
 #: and the most terms an admitted command sums is 10 296 (h 0..142, +1).
 MAX_VERIFY_WEIGHT = 1_000_000

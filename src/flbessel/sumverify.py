@@ -31,11 +31,14 @@ each term builds the Pochhammer display
   ((1-L)/2)_m (-L/2)_m / ((1-2L)/2)_m
 
 in exact rational arithmetic, and refuses to proceed unless
-bracket * (2L)! = T * m! * (L!)^2.  That the other two displays equal it for
-every (L, h, m) is proved once, in the tests, by a term-ratio certificate.
-For the first h candidate terms m is negative (the factorial in the
-denominator has a negative argument), which is why those terms vanish
-identically.
+bracket * (2L)! = T * m! * (L!)^2.  The three Pochhammer bases and the
+central binomial C(2L, L) = (2L)! / (L!)^2 depend on L alone, so they are
+built once per degree and shared by every term of that degree in every
+identity; a term builds only its Pochhammer products, T and m!.  That the
+other two displays equal the bracket for every (L, h, m) is proved once, in
+the tests, by a term-ratio certificate.  For the first h candidate terms m
+is negative (the factorial in the denominator has a negative argument),
+which is why those terms vanish identically.
 
 Everything is exact: each term is an unreduced integer pair (n, d), each
 partial sum is one too, added with one gcd of the denominators per term and
@@ -56,7 +59,7 @@ from typing import Iterator
 
 from .mpnum import BigReal, pochhammer
 from .powerprime import maclaurin_coefficient
-from .series import _coeff_rational
+from .series import TRUNCATION_CAP, _coeff_rational
 
 FAMILIES = ("j0", "j1")
 
@@ -82,7 +85,10 @@ class SumSpec:
             raise ValueError("h must be nonnegative")
         if self.L_terms < self.h + 1:
             raise ValueError("L_terms must be at least h+1: the first h terms vanish")
-        object.__setattr__(self, "k", Fraction(self.k))
+        # a Fraction is kept as given, so that every identity of a command
+        # holds the one object and ``_f12``'s cache matches it by identity
+        if not isinstance(self.k, Fraction):
+            object.__setattr__(self, "k", Fraction(self.k))
 
 
 @dataclass(frozen=True)
@@ -107,15 +113,30 @@ def _f12(N: int, L: int, k: Fraction, precision: int) -> Fraction:
     return Fraction(n, d << L)
 
 
+@lru_cache(maxsize=2 * TRUNCATION_CAP)
+def _degree(L: int) -> tuple[Fraction, Fraction, Fraction, int]:
+    """The bracket bases (1-L)/2, -L/2, (1-2L)/2 of degree L, and C(2L, L).
+
+    They depend on L alone, so every term of degree L shares one copy.  The
+    cache is bounded by the admitted degrees: ``cli`` sums at most
+    ``TRUNCATION_CAP`` terms per identity, so L <= 799, and its
+    2 * ``TRUNCATION_CAP`` entries hold every one of them.
+    """
+    return (Fraction(1 - L, 2), Fraction(-L, 2), Fraction(1 - 2 * L, 2),
+            math.comb(2 * L, L))
+
+
 def _brackets(L: int, m: int) -> Fraction:
     """The bracket ((1-L)/2)_m (-L/2)_m / ((1-2L)/2)_m of degree L at depth m.
 
-    The Pochhammer numerators and denominators are multiplied as integers and
+    The three bases come from ``_degree``, built once per degree.  The
+    Pochhammer numerators and denominators are multiplied as integers and
     normalised once, not through a ``Fraction`` product per factor.
     """
-    a = pochhammer(Fraction(1 - L, 2), m)
-    b = pochhammer(Fraction(-L, 2), m)
-    c = pochhammer(Fraction(1 - 2 * L, 2), m)
+    base_a, base_b, base_c, _ = _degree(L)
+    a = pochhammer(base_a, m)
+    b = pochhammer(base_b, m)
+    c = pochhammer(base_c, m)
     return Fraction(a.numerator * b.numerator * c.denominator,
                     a.denominator * b.denominator * c.numerator)
 
@@ -134,7 +155,7 @@ def term_rational(spec: SumSpec, L: int) -> tuple[int, int]:
     T = (-1 if m % 2 else 1) * math.comb(L, m) * math.comb(2 * L - 2 * m, L)
     bracket = _brackets(L, m)
     # bracket * (2L)! = T * m! * (L!)^2, divided through by (L!)^2
-    if bracket.numerator * math.comb(2 * L, L) != T * math.factorial(m) * bracket.denominator:
+    if bracket.numerator * _degree(L)[3] != T * math.factorial(m) * bracket.denominator:
         raise VariantMismatch(
             f"Pochhammer bracket disagrees with [x^{L - 2 * m}] P_{L} at h={h}"
         )

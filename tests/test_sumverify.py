@@ -394,3 +394,64 @@ def test_cauchy_check():
     with pytest.raises(IndexError):
         cauchy_check(parts, 40, 2, F(1, 10))
     assert len(rows) == len(parts)
+
+
+def test_each_degree_constant_equals_a_freshly_built_one():
+    sumverify._degree.cache_clear()
+    for L in range(401):
+        a, b, c, central = sumverify._degree(L)
+        assert (a, b, c) == (F(1 - L, 2), F(-L, 2), F(1 - 2 * L, 2)), L
+        assert central == math.factorial(2 * L) // math.factorial(L) ** 2, L
+
+
+def test_verify_checks_every_term_against_the_cached_central_binomial(
+    monkeypatch, capsys
+):
+    # poison the cached C(2L, L) at one degree, then run with the true one in
+    # place: only a command whose sweep reaches that degree must notice
+    poisoned = 32
+    reaches = ["verify", "--family", "j0", "--h-range", "0..2", "--terms", "+15"]
+    stops_short = ["verify", "--family", "j0", "--h-range", "0..1", "--terms", "+15"]
+    assert 2 * (1 + 15 - 1) < poisoned == 2 * (2 + 15 - 1)
+    sumverify._degree.cache_clear()
+    try:
+        assert main(stops_short) == 0
+        clean = capsys.readouterr()
+
+        class OffByOne:
+            @staticmethod
+            def comb(n, k):
+                return math.comb(n, k) + (n == 2 * poisoned)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sumverify, "math", OffByOne)
+            sumverify._degree(poisoned)
+        assert sumverify._degree(poisoned)[3] == math.comb(2 * poisoned, poisoned) + 1
+        assert main(stops_short) == 0
+        assert capsys.readouterr() == clean
+        assert main(reaches) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("computation failed:")
+    finally:
+        sumverify._degree.cache_clear()
+
+
+def test_a_fraction_scale_is_kept_as_given():
+    k = F(7, 3)
+    assert SumSpec(family="j0", h=0, k=k, L_terms=1).k is k
+    two = SumSpec(family="j0", h=0, k=2, L_terms=1).k
+    assert type(two) is Fraction and two == 2
+    a = SumSpec(family="j1", h=1, k=F(7, 3), L_terms=5)
+    b = SumSpec(family="j1", h=1, k=F(14, 6), L_terms=5)
+    assert a.k is not b.k
+    assert a == b and hash(a) == hash(b)
+
+
+def test_a_shared_scale_keeps_the_coefficient_cache_counts(capsys):
+    # 6 identities of 20 surviving terms each: 25 distinct degrees 0..48
+    sumverify._f12.cache_clear()
+    assert main(["verify", "--family", "j0", "--h-range", "0..5", "--terms", "+20"]) == 0
+    capsys.readouterr()
+    info = sumverify._f12.cache_info()
+    assert (info.hits, info.misses) == (95, 25)
