@@ -177,8 +177,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         _write(args, emit_mod.json_line({
             "schema": emit_mod.SCHEMA_VERSION, "type": "evaluation",
             "kind": kind, "order": order,
-            "k": f"{k.numerator}/{k.denominator}",
-            "x": f"{x.numerator}/{x.denominator}",
+            "k": emit_mod._k_text(k), "x": emit_mod._k_text(x),
             "l_max": s.l_max, "precision": args.digits, "value": str(val)}))
     else:
         _write(args, str(val))

@@ -247,11 +247,14 @@ PUBLISHED_LISTING_DIGITS: dict[str, tuple[int, ...]] = {
 
 
 def _k_text(k: Fraction) -> str:
-    return f"{k.numerator}/{k.denominator}"
+    """A rational as "n/d", of any length (through ``int_text``)."""
+    return f"{int_text(k.numerator)}/{int_text(k.denominator)}"
 
 
 def _parse_k(text: str) -> Fraction:
-    return Fraction(text)
+    """Inverse of ``_k_text``; ``Fraction(str)`` refuses more than 4300 digits."""
+    n, d = text.split("/")
+    return Fraction(_parse_int(n), _parse_int(d))
 
 
 def emit_json(obj) -> str:

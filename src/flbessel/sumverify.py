@@ -34,11 +34,15 @@ in exact rational arithmetic, and refuses to proceed unless
 bracket * (2L)! = T * m! * (L!)^2.  The three Pochhammer bases and the
 central binomial C(2L, L) = (2L)! / (L!)^2 depend on L alone, so they are
 built once per degree and shared by every term of that degree in every
-identity; a term builds only its Pochhammer products, T and m!.  That the
-other two displays equal the bracket for every (L, h, m) is proved once, in
-the tests, by a term-ratio certificate.  For the first h candidate terms m
-is negative (the factorial in the denominator has a negative argument),
-which is why those terms vanish identically.
+identity.  Each degree also keeps the last bracket it built: a sweep over
+rising h asks degree L for depth m right after depth m+1, and that bracket
+is the kept one divided by one Pochhammer factor of each base.  Any other
+depth is built from its Pochhammer products.  Either way the term still
+checks the bracket against T, so a wrong kept bracket stops the sweep.
+That the other two displays equal the bracket for every (L, h, m) is proved
+once, in the tests, by a term-ratio certificate.  For the first h candidate
+terms m is negative (the factorial in the denominator has a negative
+argument), which is why those terms vanish identically.
 
 Everything is exact: each term is an unreduced integer pair (n, d), each
 partial sum is one too, added with one gcd of the denominators per term and
@@ -114,31 +118,44 @@ def _f12(N: int, L: int, k: Fraction, precision: int) -> Fraction:
 
 
 @lru_cache(maxsize=2 * TRUNCATION_CAP)
-def _degree(L: int) -> tuple[Fraction, Fraction, Fraction, int]:
-    """The bracket bases (1-L)/2, -L/2, (1-2L)/2 of degree L, and C(2L, L).
+def _degree(L: int) -> tuple[Fraction, Fraction, Fraction, int, list]:
+    """The bracket bases (1-L)/2, -L/2, (1-2L)/2 of degree L, C(2L, L), and
+    the one-slot memo [m, bracket] of the last bracket ``_brackets`` built.
 
     They depend on L alone, so every term of degree L shares one copy.  The
     cache is bounded by the admitted degrees: ``cli`` sums at most
     ``TRUNCATION_CAP`` terms per identity, so L <= 799, and its
-    2 * ``TRUNCATION_CAP`` entries hold every one of them.
+    2 * ``TRUNCATION_CAP`` entries hold every one of them; ``cache_clear``
+    drops the memos with the rest.
     """
     return (Fraction(1 - L, 2), Fraction(-L, 2), Fraction(1 - 2 * L, 2),
-            math.comb(2 * L, L))
+            math.comb(2 * L, L), [-1, Fraction(1)])
 
 
 def _brackets(L: int, m: int) -> Fraction:
     """The bracket ((1-L)/2)_m (-L/2)_m / ((1-2L)/2)_m of degree L at depth m.
 
-    The three bases come from ``_degree``, built once per degree.  The
-    Pochhammer numerators and denominators are multiplied as integers and
-    normalised once, not through a ``Fraction`` product per factor.
+    When the last bracket built at degree L is the one at depth m+1, this one
+    is that bracket times 2(1-2L+2m) / ((1-L+2m)(2m-L)), since (a)_m =
+    (a)_(m+1) / (a+m) for each base; for m+1 <= L // 2 no factor vanishes.
+    Any other depth multiplies the three ``pochhammer`` products of the
+    bases from ``_degree`` as integers and normalises once.  The result
+    replaces the degree's memo.
     """
-    base_a, base_b, base_c, _ = _degree(L)
-    a = pochhammer(base_a, m)
-    b = pochhammer(base_b, m)
-    c = pochhammer(base_c, m)
-    return Fraction(a.numerator * b.numerator * c.denominator,
-                    a.denominator * b.denominator * c.numerator)
+    base_a, base_b, base_c, _, last = _degree(L)
+    depth, kept = last
+    if depth == m + 1 <= L // 2:
+        up = 1 - L + 2 * m
+        bracket = Fraction(kept.numerator * 2 * (up - L),
+                           kept.denominator * up * (2 * m - L))
+    else:
+        a = pochhammer(base_a, m)
+        b = pochhammer(base_b, m)
+        c = pochhammer(base_c, m)
+        bracket = Fraction(a.numerator * b.numerator * c.denominator,
+                           a.denominator * b.denominator * c.numerator)
+    last[:] = m, bracket
+    return bracket
 
 
 def term_rational(spec: SumSpec, L: int) -> tuple[int, int]:

@@ -1,16 +1,26 @@
-"""Every printed digit is earned: whole commands against 40 more guard digits.
+"""Every printed digit is earned: whole commands against 40 more guard
+digits, and against 40 more digits.
 
 A digit that moves when every sum carries 40 more guard digits was not
 earned.  Each command runs in-process at the default guard and again with
 ``mpnum.DEFAULT_GUARD_DIGITS`` raised by 40 (16 to 56); stdout, stderr and
 the exit code must be byte-identical.  The guard is read where each sum starts, so
-the one monkeypatch reaches every route.  The ``--digits`` p against p+40
-half of the audit is not here yet.
+the one monkeypatch reaches every route.
+
+Nor was a digit earned that is not the rounding of what the command prints
+with ``--digits`` raised by 40 (50 to 90).  Each number printed at p digits
+must be the half-even rounding, to the digits it shows, of the number in the
+same place at p+40, unless that one lies within 10^-(p+30) of a tie,
+relative to its size.  Everything else (integers, labels, the exit code and
+stderr) must be equal, except a JSON ``precision`` field that echoes p.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from decimal import ROUND_HALF_EVEN, Context, Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -26,12 +36,25 @@ ITEM_22 = pytest.mark.xfail(
            "not the identity",
 )
 
+#: ``power --factorize`` prints each reciprocal's gap from the nearest
+#: integer as a p-digit number, and the gap is the rounding error of the
+#: p-digit fold: x^6 prints 1.179648e-47 at 50 digits and 1.179648e-87 at 90.
+ITEM_10 = pytest.mark.xfail(
+    strict=True,
+    reason="item 10: power --factorize prints the fold's rounding error as its gaps",
+)
+
+#: ``bench`` subtracts the reference from the series value already rounded
+#: to p digits, so its p-digit ``max_abs_error`` lost the digits that
+#: rounding cost.
+ITEM_12 = pytest.mark.xfail(
+    strict=True,
+    reason="item 12: bench's max_abs_error is taken after the series value is rounded",
+)
+
 GOLDEN_ARGV = [e["argv"] for e in json.loads((DATA / "cli_goldens.json").read_text())]
 
-COMMANDS = [
-    pytest.param(argv, marks=ITEM_22) if argv[0] == "verify" else argv
-    for argv in GOLDEN_ARGV
-] + [
+AUDITED = GOLDEN_ARGV + [
     ["table1"],
     ["emit", "--what", "legendre-j0"],
     ["emit", "--what", "power-j1"],
@@ -43,21 +66,36 @@ COMMANDS = [
     ["eval", "J", "0", "1", "1/2"],
     ["eval", "I", "1", "7/3", "--", "-3/4"],
     ["power", "J", "1", "1", "--max-power", "21", "--terms", "40"],
-    pytest.param(["verify", "--family", "j1", "--h-range", "0..3", "--terms", "+40"],
-                 marks=ITEM_22),
+    ["verify", "--family", "j1", "--h-range", "0..3", "--terms", "+40"],
 ]
+
+
+def _with_known_failures(argv, digits_half: bool):
+    """``argv`` marked with the known failures of the guard half, or of the
+    ``--digits`` half."""
+    marks = [ITEM_22] if "verify" in argv else []
+    if digits_half and "--factorize" in argv:
+        marks.append(ITEM_10)
+    if digits_half and "bench" in argv and "json" in argv:
+        marks.append(ITEM_12)  # the text form prints 8 digits, all earned
+    return pytest.param(argv, marks=marks)
+
+
+COMMANDS = [_with_known_failures(argv, digits_half=False) for argv in AUDITED]
+DIGITS_COMMANDS = [_with_known_failures(argv, digits_half=True) for argv in AUDITED]
 
 
 def _clear_caches() -> None:
     series._coeff_rational.cache_clear()
     sumverify._f12.cache_clear()
+    sumverify._degree.cache_clear()
     legendre._coeff_table.cache_clear()
 
 
 @pytest.fixture
 def fresh_caches():
-    """No value summed at one guard answers a lookup at the other, and none
-    summed at guard 56 outlives the test."""
+    """No value summed at one guard or precision answers a lookup at the
+    other, and none summed at guard 56 outlives the test."""
     _clear_caches()
     yield _clear_caches
     _clear_caches()
@@ -76,3 +114,64 @@ def test_forty_more_guard_digits_print_the_same_bytes(monkeypatch, capsys,
     fresh_caches()
     monkeypatch.setattr(mpnum, "DEFAULT_GUARD_DIGITS", mpnum.DEFAULT_GUARD_DIGITS + 40)
     assert _run(capsys, argv) == at_default
+
+
+#: A printed decimal number: a point or an exponent, so integers stay text.
+_NUMBER = re.compile(r"-?(?:\d+\.\d*|\d+(?=[eE]))(?:[eE][-+]?\d+)?")
+#: A JSON field that echoes the working precision.
+_ECHO = re.compile(r'("(?:\w+_)?precision":)(\d+)')
+
+
+def _is_rounding(shown: str, finer: str, p: int) -> bool:
+    """Whether ``shown`` is ``finer`` rounded half-even to the significant
+    digits ``shown`` prints, or ``finer`` is within 10^-(p+30) (relative) of
+    a tie at those digits."""
+    a, b = Decimal(shown), Decimal(finer)
+    digits = len(shown.lstrip("-").split("e")[0].split("E")[0].replace(".", "").lstrip("0"))
+    if digits == 0 or b == 0:
+        return a == b
+    if Context(prec=digits, rounding=ROUND_HALF_EVEN).plus(b) == a:
+        return True
+    ulp = Fraction(10) ** (a.adjusted() - digits + 1)
+    units = Fraction(b) / ulp
+    tie = (units - units.__floor__() - Fraction(1, 2)) * ulp
+    return abs(tie) <= abs(Fraction(b)) / 10 ** (p + 30)
+
+
+def _rounding_mismatches(at_p: str, at_finer: str, p: int) -> list:
+    """The places where the output at p is not the rounding of the output at
+    p+40: differing text, or a number that is not the finer one rounded."""
+    echo = {str(p): "p", str(p + 40): "p"}
+    texts = [_ECHO.sub(lambda m: m[1] + echo.get(m[2], m[2]), out) for out in (at_p, at_finer)]
+    (text_p, nums_p), (text_f, nums_f) = ((_NUMBER.split(t), _NUMBER.findall(t)) for t in texts)
+    if text_p != text_f:
+        return [("text", x, y) for x, y in zip(text_p, text_f) if x != y] or [("layout",)]
+    return [(x, y) for x, y in zip(nums_p, nums_f) if not _is_rounding(x, y, p)]
+
+
+def test_is_rounding_reads_digits_ties_and_zeros():
+    assert _is_rounding("0.5", "0.50000000000000000001", 50)
+    assert _is_rounding("1.0000", "0.999996", 50)
+    assert _is_rounding("-2.5e-7", "-2.4999999e-7", 50)
+    assert not _is_rounding("2.4e-7", "2.4999e-7", 50)
+    assert not _is_rounding("1.179648e-47", "1.179648e-87", 50)
+    assert _is_rounding("0.12", "0.125", 50)  # half-even at an exact tie
+    assert _is_rounding("0.13", "0.125" + "0" * 70 + "1", 50)
+    assert _is_rounding("0.12", "0.125" + "0" * 80 + "1", 50)  # within 1e-80 of the tie
+    assert not _is_rounding("0.12", "0.125" + "0" * 70 + "1", 50)
+    assert _is_rounding("0", "0.0", 50) and not _is_rounding("0", "1e-90", 50)
+    text = '{"value":"1.23","precision":50,"gap_precision":8}'
+    finer = '{"value":"1.2349","precision":90,"gap_precision":8}'
+    assert _rounding_mismatches(text, finer, 50) == []
+    assert _rounding_mismatches(text, finer.replace(":8}", ":9}"), 50) != []
+    assert _rounding_mismatches("h=  1 x", "h=  2 x", 50) != []
+
+
+@pytest.mark.parametrize("argv", DIGITS_COMMANDS, ids=" ".join)
+def test_forty_more_digits_round_to_the_printed_ones(capsys, fresh_caches, argv):
+    p = 50
+    code, out, err = _run(capsys, ["--digits", str(p), *argv])
+    fresh_caches()
+    finer_code, finer, finer_err = _run(capsys, ["--digits", str(p + 40), *argv])
+    assert (finer_code, finer_err) == (code, err)
+    assert _rounding_mismatches(out, finer, p) == []

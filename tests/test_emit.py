@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import json
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from flbessel.cli import main
 from flbessel.emit import (
     DigitsExceedPrecision,
     EmitTarget,
     PUBLISHED_LISTING_DIGITS,
     UncertifiedFactorization,
+    _parse_int,
+    _parse_k,
     default_name,
     emit_json,
     emit_legendre_code,
@@ -26,7 +30,7 @@ from flbessel.powerprime import (
     exact_power_series,
     to_power_series,
 )
-from flbessel.series import FLSeries, build_series
+from flbessel.series import FLSeries, accuracy_scan, build_series
 from flbessel.sumverify import SumSpec, verify_identity
 from refdata import golden
 
@@ -191,3 +195,45 @@ def test_json_rejects_unknown():
         emit_json(object())
     with pytest.raises(ValueError):
         parse_json('{"schema":2,"type":"fl_series"}')
+
+
+#: Python's ``str(int)`` and ``Fraction(str)`` refuse more than 4300 digits.
+TINY = F(1, 10**5000)
+
+
+def _json_lines(capsys, argv):
+    code = main(["--format", "json", *argv])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    return out.out.splitlines()
+
+
+def test_json_series_carries_a_scale_of_5000_digits(capsys):
+    (line,) = _json_lines(capsys, ["coeffs", "J", "0", "1e-5000", "--lmax", "0"])
+    assert parse_json(line).k == TINY
+
+
+def test_json_verification_carries_a_scale_of_5000_digits(capsys):
+    lines = _json_lines(capsys, ["verify", "--family", "j0", "--h-range", "0..1",
+                                 "--terms", "+5", "--k=1e-5000"])
+    assert [parse_json(line).spec.k for line in lines] == [TINY, TINY]
+
+
+@pytest.mark.parametrize("k, x", [("1e-5000", "1/2"), ("1", "1e-5000")])
+def test_json_evaluation_carries_a_scale_of_5000_digits(capsys, k, x):
+    (line,) = _json_lines(capsys, ["eval", "J", "0", k, x, "--lmax", "2"])
+    record = json.loads(line, parse_int=_parse_int)
+    assert (_parse_k(record["k"]), _parse_k(record["x"])) == (F(k), F(x))
+
+
+def test_json_accuracy_report_carries_a_range_of_5000_digits(capsys):
+    # two grid points: the default 121 would put full 5000-digit rationals
+    # inside the range, and their reference sums take about 40 s
+    _, fl, allen = _json_lines(capsys, ["bench", "--which", "j0", "--range=-1e-5000..1",
+                                        "--grid", "2"])
+    want = accuracy_scan(build_series("J", 0, F(1), l_max=12, precision=50),
+                         -TINY, F(1), 2, ("J0",), precision=50)
+    for line, report in zip((fl, allen), want):
+        got = parse_json(line)
+        assert got.x_range == (-TINY, F(1))
+        assert got.argmax_x == report.argmax_x

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from flbessel.hypergeom import plain_sum_rational
 from flbessel.legendre import monomials
 from flbessel.mpnum import BigReal
 from flbessel.powerprime import to_power_series
-from flbessel.series import _coeff_rational
+from flbessel.series import TRUNCATION_CAP, _coeff_rational
 from flbessel.sumverify import (
     SumSpec,
     _brackets,
@@ -399,7 +400,7 @@ def test_cauchy_check():
 def test_each_degree_constant_equals_a_freshly_built_one():
     sumverify._degree.cache_clear()
     for L in range(401):
-        a, b, c, central = sumverify._degree(L)
+        a, b, c, central, _ = sumverify._degree(L)
         assert (a, b, c) == (F(1 - L, 2), F(-L, 2), F(1 - 2 * L, 2)), L
         assert central == math.factorial(2 * L) // math.factorial(L) ** 2, L
 
@@ -455,3 +456,104 @@ def test_a_shared_scale_keeps_the_coefficient_cache_counts(capsys):
     capsys.readouterr()
     info = sumverify._f12.cache_info()
     assert (info.hits, info.misses) == (95, 25)
+
+
+# -- the kept bracket of each degree ------------------------------------------
+
+
+def _recording(monkeypatch):
+    """Record every bracket ``_brackets`` returns and count the ``pochhammer``
+    calls, with the brackets left to the real function and its memos."""
+    seen, calls = [], Counter()
+    brackets, pochhammer = sumverify._brackets, sumverify.pochhammer
+
+    def recorded(L, m):
+        value = brackets(L, m)
+        seen.append((L, m, value))
+        return value
+
+    def counted(a, n):
+        calls["pochhammer"] += 1
+        return pochhammer(a, n)
+
+    monkeypatch.setattr(sumverify, "_brackets", recorded)
+    monkeypatch.setattr(sumverify, "pochhammer", counted)
+    return seen, calls
+
+
+@pytest.mark.parametrize("family", ("j0", "j1"))
+def test_every_bracket_of_a_sweep_equals_the_pochhammer_display(
+    monkeypatch, capsys, family
+):
+    # a sweep over rising h steps each degree's bracket down from the one of
+    # the identity before; a later sweep whose depths are not next to the
+    # kept ones, after a table1 run in between, builds them afresh
+    seen, calls = _recording(monkeypatch)
+    sumverify._degree.cache_clear()
+    runs = [(0, 12), None, (5, 9)]
+    for h_range in runs:
+        seen.clear()
+        calls.clear()
+        if h_range is None:
+            assert main(["table1"]) == 0
+        else:
+            lo, hi = h_range
+            assert main(["verify", "--family", family, "--h-range", f"{lo}..{hi}",
+                         "--terms", "+30", "--tol", "1"]) == 0
+            # the first identity's 30 brackets and each later identity's
+            # new top degree are fresh; every other one takes the step
+            assert len(seen) == 30 * (hi - lo + 1)
+            assert calls["pochhammer"] == 3 * (30 + hi - lo)
+        capsys.readouterr()
+        for L, m, value in seen:
+            fam = ("j0", "j1")[L % 2]
+            assert value == bracket_forms(fam, L, (L - L % 2) // 2 - m, m)[0], (L, m)
+    sumverify._degree.cache_clear()
+
+
+def test_a_kept_bracket_off_by_one_part_in_1e60_stops_the_next_verify(capsys):
+    # h = 2 leaves degree 30 at depth 13, and h = 3 steps from there to 12;
+    # a command that stops at degree 20 never reads the kept bracket
+    def verify(h_range, terms):
+        return ["verify", "--family", "j0", "--h-range", h_range, "--terms", terms,
+                "--tol", "1"]
+
+    leaves, steps = verify("2..2", "+15"), verify("3..3", "+15")
+    stops_short = verify("0..1", "+10")
+    sumverify._degree.cache_clear()
+    try:
+        assert main(stops_short) == 0
+        clean = capsys.readouterr()
+        assert main(leaves) == 0
+        capsys.readouterr()
+        last = sumverify._degree(30)[4]
+        assert last[0] == 13
+        last[1] *= 1 + F(1, 10**60)
+        assert main(stops_short) == 0
+        assert capsys.readouterr() == clean
+        assert main(steps) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("computation failed:")
+    finally:
+        sumverify._degree.cache_clear()
+
+
+def test_the_kept_brackets_are_bounded_by_the_degree_cache(monkeypatch):
+    # every memo is part of a ``_degree`` entry: no more degrees keep one
+    # than that cache holds, and clearing it drops them
+    seen, calls = _recording(monkeypatch)
+    sumverify._degree.cache_clear()
+    bound = 2 * TRUNCATION_CAP
+    assert sumverify._degree.cache_info().maxsize == bound
+    for L in range(bound + 100):
+        sumverify._brackets(L, 0)
+    assert sumverify._degree.cache_info().currsize == bound
+    sumverify._brackets(40, 5)
+    sumverify._brackets(40, 4)
+    assert calls["pochhammer"] == 3 * (bound + 101)
+    sumverify._brackets(40, 5)
+    sumverify._degree.cache_clear()
+    sumverify._brackets(40, 4)
+    assert calls["pochhammer"] == 3 * (bound + 103)
+    sumverify._degree.cache_clear()
